@@ -37,14 +37,13 @@ class SuiteConfig:
     journal: str = "aa-journal.jsonl"
     slot: int = 900
     tolerance: int = 300
-    gap: int = 1800
     ubiquitous_tags: frozenset[str] = frozenset({"aao0"})
     word_lexicon: frozenset[str] = frozenset()
     promo_keywords: frozenset[str] = frozenset()
     intro_lexicon: frozenset[str] = frozenset({"test", "teste", "hello", "oi"})
     min_content_words: int = 3
 
-    _INT_KEYS = ("port", "slot", "tolerance", "gap", "min_content_words")
+    _INT_KEYS = ("port", "slot", "tolerance", "min_content_words")
     _SET_KEYS = ("ubiquitous_tags", "word_lexicon", "promo_keywords", "intro_lexicon")
 
     def apply(self, values: dict[str, str]) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .errors import JournalError
@@ -22,7 +22,6 @@ from .model import (
     Tag,
     TagForm,
     TagScope,
-    User,
     ValidationReview,
 )
 
@@ -138,6 +137,7 @@ class Journal:
     def _handle(self):
         if self._fh is None:
             try:
+                _end_last_line(self.path)
                 self._fh = open(self.path, "a", encoding="utf-8")
             except OSError as exc:
                 raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
@@ -164,21 +164,47 @@ class Journal:
         self.next_seq += len(records)
         return records
 
-    def append(self, rtype: str, data: dict, written: int) -> JournalRecord:
-        return self.append_many([(rtype, data)], written)[0]
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
 
+def _end_last_line(path: str) -> None:
+    """Make an unterminated final line agree with read_records before appending.
+
+    A crash mid-write leaves the last line without its newline. If that line
+    is not JSON, read_records dropped it as torn, so it is cut off; otherwise
+    it was read as a whole record and only gains its newline. Either way the
+    next append starts a line of its own.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return
+    with open(path, "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        line = data[data.rfind(b"\n") + 1:]
+        try:
+            json.loads(line)
+        except ValueError:
+            fh.truncate(len(data) - len(line))
+        else:
+            fh.write(b"\n")
+
+
 def read_records(path: str) -> Iterator[JournalRecord]:
-    """Yield journal records in order; a torn final line is tolerated."""
+    """Yield journal records in order; a torn final line is tolerated.
+
+    Raises JournalError unless the seqs run 1, 2, 3, ... without a gap.
+    """
     if not os.path.exists(path):
         return
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
+    expected = 1
     for lineno, line in enumerate(lines):
         if not line.strip():
             continue
@@ -192,6 +218,10 @@ def read_records(path: str) -> Iterator[JournalRecord]:
             raise JournalError(f"{path}:{lineno + 1}: malformed record") from exc
         except (KeyError, TypeError) as exc:
             raise JournalError(f"{path}:{lineno + 1}: incomplete record") from exc
+        if record.seq != expected:
+            raise JournalError(f"{path}:{lineno + 1}: seq {record.seq}, "
+                               f"expected {expected}")
+        expected += 1
         yield record
 
 
@@ -209,11 +239,6 @@ class ReplayState:
     members: dict[str, list[str]] = field(default_factory=dict)
     last_seq: int = 0
     last_created: int = 0
-
-    def users(self) -> dict[str, User]:
-        """Users derived from distinct nicks, keyed and identified by nick."""
-        return {s.nick: User(id=s.nick, nicks=frozenset({s.nick}))
-                for s in self.shouts}
 
     def apply(self, record: JournalRecord) -> None:
         self.last_seq = record.seq
@@ -248,16 +273,8 @@ class ReplayState:
 
     def session_with_members(self, session_id: str) -> Session:
         """The stored session with its replayed member list attached."""
-        session = self.sessions[session_id]
-        member_ids = tuple(self.members.get(session_id, ()))
-        if session.shouts != member_ids:
-            session = Session(
-                id=session.id, user=session.user, origin=session.origin,
-                start=session.start, end=session.end,
-                slot_duration=session.slot_duration, shouts=member_ids,
-                screencast=session.screencast,
-            )
-        return session
+        return replace(self.sessions[session_id],
+                       shouts=tuple(self.members.get(session_id, ())))
 
 
 def replay(path: str) -> ReplayState:

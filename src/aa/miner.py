@@ -17,6 +17,7 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import Iterator
 
 from . import journal as jn
 from .config import parse_kv
@@ -144,44 +145,48 @@ def make_mined_shout(nick: str, text: str, created: int,
 
 def parse_source(spec: SourceSpec,
                  parser_config: ParserConfig = DEFAULT_CONFIG) -> ParsedSource:
-    """Extract candidate shouts; unparseable lines are counted, not fatal."""
+    """Extract candidate shouts; unparseable rows are counted, not fatal."""
     offset = spec.utc_offset()
+    rows, (nick_key, text_key, time_key) = _rows(spec)
+    candidates, scanned, skipped = [], 0, 0
     try:
-        if spec.kind is SourceKind.CHAT_LOG:
-            return _parse_chatlog(spec, offset, parser_config)
-        if spec.kind is SourceKind.JSON_DUMP:
-            return _parse_jsondump(spec, offset, parser_config)
-        return _parse_tabular(spec, offset, parser_config)
+        for row in rows:
+            scanned += 1
+            try:
+                created = _parse_timestamp(row[time_key], offset)
+                candidates.append(make_mined_shout(row[nick_key], row[text_key],
+                                                   created, parser_config))
+            except Exception:  # noqa: BLE001 - unmatched (None) or malformed row
+                skipped += 1
     except OSError as exc:
         raise UnreadableSource(f"cannot read {spec.path}: {exc}") from exc
-
-
-def _parse_chatlog(spec, offset, parser_config) -> ParsedSource:
-    pattern = spec.compiled_pattern()
-    candidates, scanned, skipped = [], 0, 0
-    with open(spec.path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            scanned += 1
-            match = pattern.match(line)
-            if match is None:
-                skipped += 1
-                continue
-            try:
-                created = _parse_timestamp(match.group("timestamp"), offset)
-                candidate = make_mined_shout(match.group("nick"),
-                                             match.group("text"), created,
-                                             parser_config)
-            except Exception:  # noqa: BLE001 - malformed capture, count and move on
-                skipped += 1
-                continue
-            candidates.append(candidate)
     return ParsedSource(candidates, scanned, skipped)
 
 
-def _iter_json_records(path: str):
+def _rows(spec: SourceSpec) -> tuple[Iterator, tuple[str, str, str]]:
+    """The rows of one source, and the keys of a row's nick, text and timestamp.
+
+    A chat-log row is the pattern match of one non-blank line, None when the
+    line does not match; a dump row is one record.
+    """
+    if spec.kind is SourceKind.CHAT_LOG:
+        return (_chatlog_rows(spec.path, spec.compiled_pattern()),
+                ("nick", "text", "timestamp"))
+    mapping = spec.field_map()
+    keys = (mapping["nick"], mapping["message"], mapping["created"])
+    if spec.kind is SourceKind.JSON_DUMP:
+        return _json_rows(spec.path), keys
+    return _tabular_rows(spec.path, spec.delimiter), keys
+
+
+def _chatlog_rows(path: str, pattern: re.Pattern) -> Iterator[re.Match | None]:
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            if line.strip():
+                yield pattern.match(line.rstrip("\n"))
+
+
+def _json_rows(path: str) -> Iterator:
     with open(path, encoding="utf-8") as fh:
         head = fh.read(1)
         fh.seek(0)
@@ -193,39 +198,9 @@ def _iter_json_records(path: str):
                     yield json.loads(line)
 
 
-def _parse_jsondump(spec, offset, parser_config) -> ParsedSource:
-    mapping = spec.field_map()
-    candidates, scanned, skipped = [], 0, 0
-    for record in _iter_json_records(spec.path):
-        scanned += 1
-        try:
-            created = _parse_timestamp(record[mapping["created"]], offset)
-            candidate = make_mined_shout(record[mapping["nick"]],
-                                         record[mapping["message"]], created,
-                                         parser_config)
-        except Exception:  # noqa: BLE001
-            skipped += 1
-            continue
-        candidates.append(candidate)
-    return ParsedSource(candidates, scanned, skipped)
-
-
-def _parse_tabular(spec, offset, parser_config) -> ParsedSource:
-    mapping = spec.field_map()
-    candidates, scanned, skipped = [], 0, 0
-    with open(spec.path, encoding="utf-8", newline="") as fh:
-        for record in csv.DictReader(fh, delimiter=spec.delimiter):
-            scanned += 1
-            try:
-                created = _parse_timestamp(record[mapping["created"]], offset)
-                candidate = make_mined_shout(record[mapping["nick"]],
-                                             record[mapping["message"]], created,
-                                             parser_config)
-            except Exception:  # noqa: BLE001
-                skipped += 1
-                continue
-            candidates.append(candidate)
-    return ParsedSource(candidates, scanned, skipped)
+def _tabular_rows(path: str, delimiter: str) -> Iterator[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        yield from csv.DictReader(fh, delimiter=delimiter)
 
 
 def select_shouts(candidates: list[Shout], mode: str = "prefix", *,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Iterable
 
 from .errors import EmptyNick
 
@@ -97,6 +98,11 @@ class User:
     id: str
     nicks: frozenset[str]
     emails: frozenset[str] = frozenset()
+
+
+def users_from_shouts(shouts: Iterable[Shout]) -> dict[str, User]:
+    """Users derived from distinct nicks, keyed and identified by nick."""
+    return {s.nick: User(id=s.nick, nicks=frozenset({s.nick})) for s in shouts}
 
 
 @dataclass(frozen=True)

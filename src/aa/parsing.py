@@ -92,28 +92,29 @@ def extract_tags(raw: str) -> tuple[list[Tag], str]:
     return [tag for _, tag in tags], clean_text
 
 
+def _word_tags(plain: list[tuple[int, str]],
+               lexicon: frozenset[str] | set[str]) -> list[tuple[int, Tag]]:
+    """Positioned word tags for lexicon words at the first and last plain token.
+
+    A word at both ends yields two tags.
+    """
+    ends = [plain[0], plain[-1]] if len(plain) > 1 else plain
+    found = []
+    for pos, token in ends:
+        word = token.rstrip(TRAILING_PUNCT).lower()
+        if word in lexicon:
+            found.append((pos, Tag(TagForm.WORD, word, TagScope.UNTIL_NEXT_TAG)))
+    return found
+
+
 def detect_word_tags(raw: str, lexicon: frozenset[str] | set[str]) -> list[Tag]:
     """Lexicon words at the first or last position become word tags.
 
     Marker tokens are not words, so positions are taken over the tag-free
     token sequence; interior occurrences are ignored.
     """
-    if not lexicon:
-        return []
     _, plain = _scan(raw)
-    if not plain:
-        return []
-    found: list[Tag] = []
-    first = plain[0][1].rstrip(TRAILING_PUNCT).lower()
-    if first in lexicon:
-        found.append(Tag(TagForm.WORD, first, TagScope.UNTIL_NEXT_TAG))
-    if len(plain) > 1:
-        last = plain[-1][1].rstrip(TRAILING_PUNCT).lower()
-        if last in lexicon:
-            tag = Tag(TagForm.WORD, last, TagScope.UNTIL_NEXT_TAG)
-            if tag not in found:
-                found.append(tag)
-    return found
+    return list(dict.fromkeys(tag for _, tag in _word_tags(plain, lexicon)))
 
 
 def parse(raw: str, config: ParserConfig = DEFAULT_CONFIG) -> ParseResult:
@@ -122,17 +123,9 @@ def parse(raw: str, config: ParserConfig = DEFAULT_CONFIG) -> ParseResult:
     topic = raw.split()[0].lower() if kind is MessageKind.QUERY else None
 
     marker_tags, plain = _scan(raw)
-    positioned: list[tuple[int, Tag]] = list(marker_tags)
-    if config.word_lexicon and plain:
-        first_pos, first_tok = plain[0]
-        word = first_tok.rstrip(TRAILING_PUNCT).lower()
-        if word in config.word_lexicon:
-            positioned.append((first_pos, Tag(TagForm.WORD, word, TagScope.UNTIL_NEXT_TAG)))
-        if len(plain) > 1:
-            last_pos, last_tok = plain[-1]
-            word = last_tok.rstrip(TRAILING_PUNCT).lower()
-            if word in config.word_lexicon:
-                positioned.append((last_pos, Tag(TagForm.WORD, word, TagScope.UNTIL_NEXT_TAG)))
+    positioned = marker_tags
+    if config.word_lexicon:
+        positioned += _word_tags(plain, config.word_lexicon)
     positioned.sort(key=lambda item: item[0])
 
     tags = tuple(tag for _, tag in positioned)

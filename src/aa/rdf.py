@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from urllib.parse import quote
 
 from . import journal as jn
-from .model import Session, Shout, User, ValidationReview, iso8601
+from .model import Session, Shout, User, ValidationReview, iso8601, users_from_shouts
 
 DEFAULT_BASE = "http://aa.example.org/"
 
@@ -229,8 +229,7 @@ def export_data(shouts: Sequence[Shout], sessions: Iterable[Session] = (),
     triples: list[Triple] = []
 
     if users is None:
-        users = {s.nick: User(id=s.nick, nicks=frozenset({s.nick}))
-                 for s in shouts}.values()
+        users = users_from_shouts(shouts).values()
     for user in users:
         node = vocab.instance("user", user.id)
         triples.append(Triple(node, RDF_TYPE, vocab.term("User")))
@@ -377,8 +376,7 @@ def export_journal(journal_path: str, base: str = DEFAULT_BASE,
     state = jn.replay(journal_path)
     triples = export_ontology(vocab) if include_ontology else []
     sessions = [state.session_with_members(sid) for sid in sorted(state.sessions)]
-    triples += export_data(state.shouts, sessions, state.reviews.values(),
-                           users=state.users().values(), vocab=vocab)
+    triples += export_data(state.shouts, sessions, state.reviews.values(), vocab=vocab)
     return triples
 
 

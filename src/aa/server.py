@@ -28,6 +28,8 @@ from .store import Store
 
 log = logging.getLogger("aa.server")
 
+MAX_BODY = 1 << 20  # bytes; far above any real request, as aa push sends one item each
+
 
 class ShoutHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -45,6 +47,10 @@ class ShoutHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         params = {k: v[0] for k, v in parse_qs(parts.query).items()}
         length = int(self.headers.get("Content-Length") or 0)
+        if not 0 <= length <= MAX_BODY:
+            # an unread body would be read as the next request
+            self.close_connection = True
+            raise ValueError(f"Content-Length {length} outside 0..{MAX_BODY}")
         if length:
             body = self.rfile.read(length)
             ctype = self.headers.get("Content-Type", "")
@@ -176,7 +182,7 @@ def create_server(store: Store, host: str = "127.0.0.1",
 def store_from_config(config: SuiteConfig, clock=None) -> Store:
     kwargs = {"clock": clock} if clock else {}
     return Store(config.journal, slot=config.slot, tolerance=config.tolerance,
-                 gap=config.gap, parser_config=config.parser_config(), **kwargs)
+                 parser_config=config.parser_config(), **kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:

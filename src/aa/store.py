@@ -2,6 +2,8 @@
 
 State is held in memory and every accepted mutation is journaled before it
 becomes visible, so replaying the journal reproduces the live state.
+``Store._commit`` is the only write path: it appends a mutation's records in
+one write and applies them only once that write has succeeded.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from . import parsing, sessions as eng
 from .errors import (
     BadFilter,
     BadUrl,
-    EmptyMessage,
     EmptySession,
     NoEligibleValidator,
     NoOpenSession,
+    NotLost,
     UnknownSession,
 )
 from .model import (
@@ -36,6 +38,7 @@ from .model import (
     iso8601,
     normalize_nick,
     parse_iso8601,
+    users_from_shouts,
 )
 
 def render_text_line(created_iso: str, nick: str, message: str) -> str:
@@ -67,13 +70,11 @@ class Store:
                  clock: Callable[[], float] = time.time,
                  slot: int = eng.DEFAULT_SLOT,
                  tolerance: int = eng.DEFAULT_TOLERANCE,
-                 gap: int = eng.DEFAULT_GAP,
                  parser_config: parsing.ParserConfig = parsing.DEFAULT_CONFIG):
         self._lock = threading.RLock()
         self._clock = clock
         self.slot = slot
         self.tolerance = tolerance
-        self.gap = gap
         self.parser_config = parser_config
         self.state = jn.replay(journal_path)
         self.journal = jn.Journal(journal_path, next_seq=self.state.last_seq + 1)
@@ -87,6 +88,13 @@ class Store:
         # arrival times never go backwards within one process
         return max(self._now(), self.state.last_created)
 
+    # -- journal ---------------------------------------------------------
+
+    def _commit(self, records: list[tuple[str, dict]], written: int) -> None:
+        """Journal the records in one write, then apply them to the state."""
+        for record in self.journal.append_many(records, written):
+            self.state.apply(record)
+
     # -- ingest ----------------------------------------------------------
 
     def _build_shout(self, nick: str, message: str, *, source: Source,
@@ -94,9 +102,7 @@ class Store:
                      session_ref: str | None = None) -> Shout:
         handle = normalize_nick(nick)
         text = _normalize_message(message)
-        if not text:
-            raise EmptyMessage("blank message")
-        parsed = parsing.parse(text, self.parser_config)
+        parsed = parsing.parse(text, self.parser_config)  # raises EmptyMessage
         deviation = parsing.flag_deviation(parsed, self.parser_config)
         return Shout(
             id=uuid.uuid4().hex,
@@ -123,9 +129,7 @@ class Store:
             shout = self._build_shout(nick, message, source=source, created=created,
                                       client_created=client_created,
                                       session_ref=session_ref)
-            record = self.journal.append(jn.SHOUT, jn.shout_to_dict(shout),
-                                         written=self._now())
-            self.state.apply(record)
+            self._commit([(jn.SHOUT, jn.shout_to_dict(shout))], self._now())
             return shout
 
     # -- sessions ----------------------------------------------------------
@@ -140,19 +144,6 @@ class Store:
         ids = self.state.members.get(session_id, ())
         return [self.state.shouts_by_id[i] for i in ids]
 
-    def _open_session(self, handle: str, now: int) -> tuple[Session, str]:
-        existing = self.state.open_sessions.get(handle)
-        session = Session(
-            id=existing or uuid.uuid4().hex,
-            user=handle,
-            origin=SessionOrigin.EXPLICIT,
-            start=now,
-            end=now,
-            slot_duration=self.slot,
-        )
-        event = "reanchored" if existing else "opened"
-        return session, event
-
     def _close_session(self, handle: str,
                        now: int) -> tuple[Session, dict, str | None, list[Shout]]:
         session_id = self.state.open_sessions.get(handle)
@@ -166,20 +157,18 @@ class Store:
             report = eng.EMPTY_REPORT
         markers = []
         for index in report.lost_slots:
-            already = any(
-                s.kind is MessageKind.LOST_TIMESLOT
-                and (s.created - session.start) // session.slot_duration == index
-                for s in members
-            )
-            if not already:
+            try:
                 markers.append(eng.emit_lost_timeslot(session, members, index,
                                                       tolerance=self.tolerance))
+            except NotLost:
+                pass  # already marked while the session was open
         validator = None
         try:
             validator = eng.assign_validator(session, self.users().values(),
                                              seed=self.journal.next_seq).id
         except NoEligibleValidator:
             pass
+        session = replace(session, shouts=tuple(s.id for s in members + markers))
         return session, report.to_dict(), validator, markers
 
     def receive_message(self, nick: str, message: str,
@@ -188,44 +177,36 @@ class Store:
         with self._lock:
             handle = normalize_nick(nick)
             text = _normalize_message(message)
-            if not text:
-                raise EmptyMessage("blank message")
-            kind = parsing.classify_kind(text)
+            kind = parsing.classify_kind(text)  # raises EmptyMessage
             now = self._arrival()
             written = self._now()
 
+            if kind is MessageKind.SHOUT:
+                shout = self.receive_shout(handle, text)
+                return {"result": "shout", "id": shout.id}
+
+            # the control shout is journaled with the records it brings
+            session_ref = self.state.open_sessions.get(handle)
+            before: list[tuple[str, dict]] = []
+            after: list[tuple[str, dict]] = []
             if kind is MessageKind.START:
-                session, event = self._open_session(handle, now)
-                control = self._build_shout(handle, text, source=Source.HTTP,
-                                            created=now, session_ref=session.id)
-                records = [
-                    (jn.SHOUT, jn.shout_to_dict(control)),
-                    (jn.SESSION, jn.session_to_dict(session, jn.EVENT_OPEN)),
-                ]
-                appended = self.journal.append_many(records, written)
-                for rec in appended:
-                    self.state.apply(rec)
-                return {"result": "start", "session": session.id, "event": event}
-
-            if kind is MessageKind.STOP:
+                # a start inside an open session re-anchors that session
+                event = "reanchored" if session_ref else "opened"
+                session = Session(id=session_ref or uuid.uuid4().hex, user=handle,
+                                  origin=SessionOrigin.EXPLICIT, start=now, end=now,
+                                  slot_duration=self.slot)
+                session_ref = session.id
+                after = [(jn.SESSION, jn.session_to_dict(session, jn.EVENT_OPEN))]
+                result = {"result": "start", "session": session.id, "event": event}
+            elif kind is MessageKind.STOP:
                 session, report, validator, markers = self._close_session(handle, now)
-                members = tuple(self.state.members.get(session.id, ()))
-                session = replace(session,
-                                  shouts=members + tuple(m.id for m in markers))
-                control = self._build_shout(handle, text, source=Source.HTTP,
-                                            created=now, session_ref=session.id)
-                records = [(jn.SHOUT, jn.shout_to_dict(control))]
-                records += [(jn.SHOUT, jn.shout_to_dict(m)) for m in markers]
-                records.append((jn.SESSION, jn.session_to_dict(
+                session_ref = session.id
+                after = [(jn.SHOUT, jn.shout_to_dict(m)) for m in markers]
+                after.append((jn.SESSION, jn.session_to_dict(
                     session, jn.EVENT_CLOSE, report=report, validator=validator)))
-                appended = self.journal.append_many(records, written)
-                for rec in appended:
-                    self.state.apply(rec)
-                return {"result": "stop", "session": session.id,
-                        "report": report, "validator": validator}
-
-            if kind is MessageKind.PUSH:
-                session_ref = self.state.open_sessions.get(handle)
+                result = {"result": "stop", "session": session.id,
+                          "report": report, "validator": validator}
+            elif kind is MessageKind.PUSH:
                 flushed = []
                 for item in batch or ():
                     client_created = item.get("client_created")
@@ -234,27 +215,17 @@ class Store:
                     flushed.append(self._build_shout(
                         handle, item["message"], source=Source.HTTP, created=now,
                         client_created=client_created, session_ref=session_ref))
-                control = self._build_shout(handle, text, source=Source.HTTP,
-                                            created=now, session_ref=session_ref)
-                records = [(jn.SHOUT, jn.shout_to_dict(s)) for s in flushed]
-                records.append((jn.SHOUT, jn.shout_to_dict(control)))
-                appended = self.journal.append_many(records, written)
-                for rec in appended:
-                    self.state.apply(rec)
-                return {"result": "push", "accepted": len(flushed),
-                        "ids": [s.id for s in flushed]}
-
+                before = [(jn.SHOUT, jn.shout_to_dict(s)) for s in flushed]
+                result = {"result": "push", "accepted": len(flushed),
+                          "ids": [s.id for s in flushed]}
+            control = self._build_shout(handle, text, source=Source.HTTP,
+                                        created=now, session_ref=session_ref)
             if kind is MessageKind.QUERY:
-                control = self._build_shout(handle, text, source=Source.HTTP,
-                                            created=now,
-                                            session_ref=self.state.open_sessions.get(handle))
-                record = self.journal.append(jn.SHOUT, jn.shout_to_dict(control), written)
-                self.state.apply(record)
-                return {"result": "query", "topic": control.topic, "items": [],
-                        "code": "no_backend"}
-
-            shout = self.receive_shout(handle, text)
-            return {"result": "shout", "id": shout.id}
+                result = {"result": "query", "topic": control.topic, "items": [],
+                          "code": "no_backend"}
+            self._commit(before + [(jn.SHOUT, jn.shout_to_dict(control))] + after,
+                         written)
+            return result
 
     def emit_lost(self, session_id: str, slot_index: int) -> Shout:
         """Mark one past slot of a session as lost; duplicates are rejected."""
@@ -264,9 +235,7 @@ class Store:
                 session = replace(session, end=max(session.start, self._arrival()))
             marker = eng.emit_lost_timeslot(session, self._member_shouts(session_id),
                                             slot_index, tolerance=self.tolerance)
-            record = self.journal.append(jn.SHOUT, jn.shout_to_dict(marker),
-                                         written=self._now())
-            self.state.apply(record)
+            self._commit([(jn.SHOUT, jn.shout_to_dict(marker))], self._now())
             return marker
 
     def attach_screencast(self, session_id: str, url: str) -> Session:
@@ -278,10 +247,8 @@ class Store:
                 raise BadUrl(f"not an http(s) url: {url!r}")
             updated = replace(session, screencast=url,
                               shouts=tuple(self.state.members.get(session_id, ())))
-            record = self.journal.append(
-                jn.SESSION, jn.session_to_dict(updated, jn.EVENT_SCREENCAST),
-                written=self._now())
-            self.state.apply(record)
+            data = jn.session_to_dict(updated, jn.EVENT_SCREENCAST)
+            self._commit([(jn.SESSION, data)], self._now())
             return updated
 
     def record_review(self, session_id: str, reviewer: str, score: float,
@@ -291,15 +258,13 @@ class Store:
             session = self._session(session_id)
             review = eng.make_review(session, normalize_nick(reviewer), score,
                                      comment, created=self._arrival())
-            record = self.journal.append(jn.REVIEW, jn.review_to_dict(review),
-                                         written=self._now())
-            self.state.apply(record)
+            self._commit([(jn.REVIEW, jn.review_to_dict(review))], self._now())
             return review
 
     # -- queries -----------------------------------------------------------
 
     def users(self) -> dict[str, User]:
-        return self.state.users()
+        return users_from_shouts(self.state.shouts)
 
     def list_shouts(self, nick: str | None = None, since: str | None = None,
                     until: str | None = None) -> list[Shout]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ class TestJournal:
     def test_seq_increases_without_gaps(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = jn.Journal(path)
-        journal.append("shout", {"id": "a"}, written=1)
+        journal.append_many([("shout", {"id": "a"})], written=1)
         journal.append_many([("shout", {"id": "b"}), ("shout", {"id": "c"})],
                             written=2)
         journal.close()
@@ -33,8 +34,8 @@ class TestJournal:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = jn.Journal(str(path))
-        journal.append("shout", {"id": "a", "nick": "bob", "message": "x",
-                                 "created": 1}, written=1)
+        journal.append_many([("shout", {"id": "a", "nick": "bob", "message": "x",
+                                        "created": 1})], written=1)
         journal.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq": 2, "writ')  # crash mid-write
@@ -45,6 +46,41 @@ class TestJournal:
         path.write_text('not json\n{"seq": 1}\n')
         with pytest.raises(JournalError):
             list(jn.read_records(str(path)))
+
+    @pytest.mark.parametrize("seqs", [[1, 3], [1, 1], [1, 2, 1], [2]],
+                             ids=["gap", "duplicate", "decrease", "late-start"])
+    def test_replay_rejects_broken_seq_run(self, tmp_path, seqs):
+        path = tmp_path / "j.jsonl"
+        data = {"id": "a", "nick": "bob", "message": "x", "created": 1}
+        path.write_text("".join(
+            json.dumps({"seq": n, "written": 1, "type": "shout", "data": data}) + "\n"
+            for n in seqs))
+        with pytest.raises(JournalError, match=rf":{len(seqs)}: seq {seqs[-1]}, "):
+            jn.replay(str(path))
+
+    def test_restart_after_crash_at_every_byte_of_last_record(self, tmp_path, clock):
+        seed = tmp_path / "seed.jsonl"
+        store = Store(str(seed), clock=clock)
+        store.receive_shout("bob", "first")
+        store.receive_shout("bob", "second")
+        store.close()
+        whole = seed.read_bytes()
+        last_line = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        for cut in range(last_line, len(whole) + 1):
+            path = tmp_path / f"cut-{cut}.jsonl"
+            path.write_bytes(whole[:cut])
+            restarted = Store(str(path), clock=clock)
+            restarted.receive_shout("eve", "after the crash")
+            live = restarted.shouts_json()
+            restarted.close()
+
+            reloaded = Store(str(path), clock=clock)
+            seqs = [r.seq for r in jn.read_records(str(path))]
+            # the last record survives the cut once its JSON is whole
+            kept = 2 if cut >= len(whole) - 1 else 1
+            assert seqs == list(range(1, kept + 2)), cut
+            assert reloaded.shouts_json() == live, cut
+            reloaded.close()
 
 
 class TestIngest:
@@ -82,14 +118,44 @@ class TestIngest:
         records = list(jn.read_records(store.journal.path))
         assert len([r for r in records if r.type == "shout"]) == 5
 
-    def test_failed_journal_write_leaves_no_state(self, store, monkeypatch):
+
+class TestCommit:
+    MUTATIONS = {
+        "shout": lambda store, ids: store.receive_shout("carol", "will not stick"),
+        "start": lambda store, ids: store.receive_message("carol", "start"),
+        "stop": lambda store, ids: store.receive_message("eve", "stop"),
+        "push": lambda store, ids: store.receive_message(
+            "carol", "push", batch=[{"message": "spooled"}]),
+        "query": lambda store, ids: store.receive_message("carol", "tickets"),
+        "lost": lambda store, ids: store.emit_lost(ids["open"], 1),
+        "screencast": lambda store, ids: store.attach_screencast(
+            ids["closed"], "https://v.example/x"),
+        "review": lambda store, ids: store.record_review(ids["closed"], "alice", 0.5),
+    }
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_failed_journal_write_leaves_no_state(self, store, clock, monkeypatch,
+                                                  mutation):
+        closed = store.receive_message("bob", "start")["session"]
+        store.receive_shout("bob", "work")
+        clock.advance(900)
+        store.receive_message("bob", "stop")
+        open_ = store.receive_message("eve", "start")["session"]
+        store.receive_shout("eve", "slot zero")
+        clock.advance(2 * 900 + 10)  # slot 1 of eve's session passes silently
+
+        def snapshot():
+            return (store.list_shouts(), store.report(), dict(store.state.sessions),
+                    dict(store.state.reviews), Path(store.journal.path).read_bytes())
+
         def boom(*args, **kwargs):
             raise JournalError("disk full")
 
+        before = snapshot()
         monkeypatch.setattr(store.journal, "append_many", boom)
         with pytest.raises(JournalError):
-            store.receive_shout("bob", "will not stick")
-        assert store.list_shouts() == []
+            self.MUTATIONS[mutation](store, {"open": open_, "closed": closed})
+        assert snapshot() == before
 
 
 class TestListings:
@@ -249,6 +315,17 @@ class TestLostSlots:
     def test_unknown_session(self, store):
         with pytest.raises(UnknownSession):
             store.emit_lost("nope", 0)
+
+    def test_stop_skips_slot_already_marked(self, store, clock):
+        sid = store.receive_message("bob", "start")["session"]
+        store.receive_shout("bob", "slot zero")
+        clock.advance(2 * 900 + 10)
+        store.emit_lost(sid, 1)
+        store.receive_message("bob", "stop")
+        start = store.state.sessions[sid].start
+        marked = [(s.created - start) // 900 for s in store.list_shouts()
+                  if s.kind is MessageKind.LOST_TIMESLOT]
+        assert marked == [1, 2]
 
 
 class TestScreencastAndReview:

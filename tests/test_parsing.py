@@ -116,6 +116,14 @@ class TestParse:
         result = parse("#aa coding stuff", config)
         assert [t.name for t in result.tags] == ["aa", "coding"]
 
+    def test_word_at_both_ends_tagged_twice(self):
+        # parse output is journaled, so it keeps both positions;
+        # detect_word_tags reports the word once
+        config = ParserConfig(word_lexicon=frozenset({"coding"}))
+        tag = Tag(TagForm.WORD, "coding", TagScope.UNTIL_NEXT_TAG)
+        assert parse("coding x coding", config).tags == (tag, tag)
+        assert detect_word_tags("coding x coding", {"coding"}) == [tag]
+
 
 class TestDeviation:
     PROMO = ParserConfig(promo_keywords=frozenset({"meetup"}))

@@ -1,6 +1,10 @@
 import json
+import socket
 
+import pytest
 from conftest import get_json, http_get, post_json
+
+from aa.server import MAX_BODY
 
 
 class TestShoutEndpoint:
@@ -223,3 +227,18 @@ def test_journal_failure_maps_to_500(live_server, monkeypatch):
                                params={"nick": "bob", "msg": "x"})
     assert status == 500
     assert result["error"] == "journal_failure"
+
+
+class TestRequestBody:
+    @pytest.mark.parametrize("length", [-1, MAX_BODY + 1])
+    def test_bad_content_length_rejected_before_reading(self, live_server, length):
+        host, port = live_server.server_address[:2]
+        request = (f"POST /shout?nick=bob&msg=x HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Content-Length: {length}\r\n\r\n")
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request.encode())
+            reply = sock.makefile("rb").read()  # the server closes the connection
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body)["error"] == "bad_request"
+        assert get_json(live_server.url + "/shouts", {"format": "json"}) == []
