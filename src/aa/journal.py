@@ -7,8 +7,10 @@ Sequence numbers strictly increase with no gaps within one file.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import JournalError
@@ -32,6 +34,8 @@ REVIEW = "review"
 EVENT_OPEN = "open"
 EVENT_CLOSE = "close"
 EVENT_SCREENCAST = "screencast"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def _end_last_line(path: str) -> None:
     A crash mid-write leaves the last line without its newline. If that line
     is not JSON, read_records dropped it as torn, so it is cut off; otherwise
     it was read as a whole record and only gains its newline. Either way the
-    next append starts a line of its own.
+    next append starts a line of its own. A cut is logged with its size.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return
@@ -191,6 +195,7 @@ def _end_last_line(path: str) -> None:
             json.loads(line)
         except ValueError:
             fh.truncate(len(data) - len(line))
+            log.warning("%s: cut a torn final line of %d bytes", path, len(line))
         else:
             fh.write(b"\n")
 
@@ -225,11 +230,53 @@ def read_records(path: str) -> Iterator[JournalRecord]:
         yield record
 
 
+created_of = attrgetter("created")
+
+
+class CreatedIndex:
+    """Shouts ordered by creation time; arrival order breaks ties.
+
+    Adding a shout appends it. A shout older than the last entry (a lost-slot
+    marker, a mined import) leaves the list unsorted until the next read,
+    which sorts it once; the sort is stable, so arrival order is kept.
+    """
+
+    __slots__ = ("_shouts", "_sorted")
+
+    def __init__(self):
+        self._shouts: list[Shout] = []
+        self._sorted = True
+
+    def __len__(self) -> int:
+        return len(self._shouts)
+
+    def add(self, shout: Shout) -> None:
+        if self._shouts and shout.created < self._shouts[-1].created:
+            self._sorted = False
+        self._shouts.append(shout)
+
+    def ordered(self) -> list[Shout]:
+        """The shouts in created order; the caller must not modify the list."""
+        if not self._sorted:
+            self._shouts.sort(key=created_of)
+            self._sorted = True
+        return self._shouts
+
+
 @dataclass
 class ReplayState:
-    """State rebuilt from a journal file, in record order."""
+    """State rebuilt from a journal file, in record order.
+
+    ``shouts`` keeps arrival order. ``by_created`` and ``by_nick`` hold the
+    same shouts in created order, all of them and per nick; being derived
+    from ``shouts``, they take no part in comparing two states.
+    """
 
     shouts: list[Shout] = field(default_factory=list)
+    by_created: CreatedIndex = field(default_factory=CreatedIndex,
+                                     compare=False, repr=False)
+    by_nick: dict[str, CreatedIndex] = field(default_factory=dict,
+                                             compare=False, repr=False)
     shouts_by_id: dict[str, Shout] = field(default_factory=dict)
     sessions: dict[str, Session] = field(default_factory=dict)
     open_sessions: dict[str, str] = field(default_factory=dict)
@@ -245,6 +292,11 @@ class ReplayState:
         if record.type == SHOUT:
             shout = shout_from_dict(record.data)
             self.shouts.append(shout)
+            self.by_created.add(shout)
+            index = self.by_nick.get(shout.nick)
+            if index is None:
+                index = self.by_nick[shout.nick] = CreatedIndex()
+            index.add(shout)
             self.shouts_by_id[shout.id] = shout
             self.last_created = max(self.last_created, shout.created)
             if shout.session_ref and shout.kind in (MessageKind.SHOUT,

@@ -260,18 +260,16 @@ def dedup(candidates: list[Shout], corpus: set, *, key: str = "text",
     return kept, report
 
 
-def corpus_from_journal(path: str, key: str = "text") -> set:
-    """The set of stored message texts (or nick/text pairs) in a journal."""
-    state = jn.replay(path)
+def corpus_from_journal(state: jn.ReplayState, key: str = "text") -> set:
+    """The set of stored message texts (or nick/text pairs) in a replayed journal."""
     return {dedup_key(s, key) for s in state.shouts}
 
 
-def import_shouts(journal_path: str, kept: list[Shout]) -> int:
-    """Append kept shouts to the journal in one staged write."""
+def import_shouts(journal_path: str, kept: list[Shout], next_seq: int) -> int:
+    """Append kept shouts to the journal in one staged write from ``next_seq`` on."""
     if not kept:
         return 0
-    state = jn.replay(journal_path)
-    journal = jn.Journal(journal_path, next_seq=state.last_seq + 1)
+    journal = jn.Journal(journal_path, next_seq=next_seq)
     written = int(datetime.now(timezone.utc).timestamp())
     try:
         journal.append_many([(jn.SHOUT, jn.shout_to_dict(s)) for s in kept], written)
@@ -329,11 +327,11 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
         }
         scanned += outcome.scanned
         all_candidates.extend(selected)
-    corpus = corpus_from_journal(corpus_path, key) if corpus_path else set()
-    kept, report = dedup(all_candidates, corpus, key=key, scanned=scanned,
-                         per_source=per_source)
+    state = jn.replay(corpus_path) if corpus_path else jn.ReplayState()
+    kept, report = dedup(all_candidates, corpus_from_journal(state, key), key=key,
+                         scanned=scanned, per_source=per_source)
     if not dry_run and corpus_path:
-        import_shouts(corpus_path, kept)
+        import_shouts(corpus_path, kept, state.last_seq + 1)
     return report
 
 

@@ -100,9 +100,14 @@ class User:
     emails: frozenset[str] = frozenset()
 
 
+def users_from_nicks(nicks: Iterable[str]) -> dict[str, User]:
+    """One user per distinct nick, keyed and identified by that nick."""
+    return {nick: User(id=nick, nicks=frozenset({nick})) for nick in nicks}
+
+
 def users_from_shouts(shouts: Iterable[Shout]) -> dict[str, User]:
-    """Users derived from distinct nicks, keyed and identified by nick."""
-    return {s.nick: User(id=s.nick, nicks=frozenset({s.nick})) for s in shouts}
+    """Users derived from the shouts' distinct nicks, in first-seen order."""
+    return users_from_nicks(s.nick for s in shouts)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import json
 import threading
 import time
 import uuid
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
@@ -38,7 +39,7 @@ from .model import (
     iso8601,
     normalize_nick,
     parse_iso8601,
-    users_from_shouts,
+    users_from_nicks,
 )
 
 def render_text_line(created_iso: str, nick: str, message: str) -> str:
@@ -264,11 +265,15 @@ class Store:
     # -- queries -----------------------------------------------------------
 
     def users(self) -> dict[str, User]:
-        return users_from_shouts(self.state.shouts)
+        with self._lock:
+            return users_from_nicks(self.state.by_nick)
 
     def list_shouts(self, nick: str | None = None, since: str | None = None,
                     until: str | None = None) -> list[Shout]:
-        """Shouts ordered by creation time (arrival order breaks ties)."""
+        """Shouts ordered by creation time (arrival order breaks ties).
+
+        ``since`` and ``until`` are inclusive ISO 8601 bounds on ``created``.
+        """
         try:
             lo = parse_iso8601(since) if since else None
             hi = parse_iso8601(until) if until else None
@@ -276,14 +281,12 @@ class Store:
             raise BadFilter(f"bad time range: {exc}") from exc
         handle = normalize_nick(nick) if nick else None
         with self._lock:
-            result = sorted(self.state.shouts, key=lambda s: s.created)
-        if handle:
-            result = [s for s in result if s.nick == handle]
-        if lo is not None:
-            result = [s for s in result if s.created >= lo]
-        if hi is not None:
-            result = [s for s in result if s.created <= hi]
-        return result
+            index = self.state.by_nick.get(handle) if handle else self.state.by_created
+            ordered = index.ordered() if index else []
+            start = 0 if lo is None else bisect_left(ordered, lo, key=jn.created_of)
+            end = (len(ordered) if hi is None
+                   else bisect_right(ordered, hi, key=jn.created_of))
+            return ordered[start:end]
 
     def shouts_text(self, **filters) -> str:
         lines = [render_text_line(iso8601(s.created), s.nick, s.message)
@@ -311,22 +314,23 @@ class Store:
         }
 
     def report(self, n: int = 20) -> dict:
-        """Latest shouts, open sessions, latest reviews, per-user counts."""
+        """Latest n shouts and reviews, open sessions, per-user counts; n >= 1."""
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         with self._lock:
-            ordered = sorted(self.state.shouts, key=lambda s: s.created)
+            ordered = self.state.by_created.ordered()
             latest = [shout_listing_entry(s) for s in reversed(ordered[-n:])]
             open_sessions = [self.session_view(sid)
                              for sid in sorted(self.state.open_sessions.values())]
             reviews = sorted(self.state.reviews.values(),
                              key=lambda r: r.created, reverse=True)[:n]
-            counts: dict[str, int] = {}
-            for shout in self.state.shouts:
-                counts[shout.nick] = counts.get(shout.nick, 0) + 1
+            counts = {nick: len(index)
+                      for nick, index in sorted(self.state.by_nick.items())}
         return {
             "latest": latest,
             "open_sessions": open_sessions,
             "latest_reviews": [jn.review_to_dict(r) for r in reviews],
-            "counts_by_user": dict(sorted(counts.items())),
+            "counts_by_user": counts,
         }
 
     def close(self) -> None:

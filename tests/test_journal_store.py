@@ -1,13 +1,20 @@
 import json
+import logging
+import tempfile
+import uuid
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import FakeClock
+from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn
 from aa.errors import (
     BadFilter,
     BadUrl,
     EmptyMessage,
+    EmptySession,
     EmptyNick,
     JournalError,
     NoOpenSession,
@@ -16,8 +23,9 @@ from aa.errors import (
     SelfReview,
     UnknownSession,
 )
-from aa.model import MessageKind
-from aa.store import Store, render_text_line
+from aa.miner import import_shouts
+from aa.model import MessageKind, Shout, Source, iso8601, users_from_shouts
+from aa.store import Store, render_text_line, shout_listing_entry
 
 
 class TestJournal:
@@ -46,6 +54,36 @@ class TestJournal:
         path.write_text('not json\n{"seq": 1}\n')
         with pytest.raises(JournalError):
             list(jn.read_records(str(path)))
+
+    def test_torn_tail_cut_is_logged(self, tmp_path, caplog):
+        path = tmp_path / "j.jsonl"
+        journal = jn.Journal(str(path))
+        journal.append_many([("shout", {"id": "a"})], written=1)
+        journal.close()
+        torn = '{"seq": 2, "writ'
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(torn)  # crash mid-write
+        restarted = jn.Journal(str(path), next_seq=2)
+        with caplog.at_level(logging.INFO, logger="aa.journal"):
+            restarted.append_many([("shout", {"id": "b"})], written=2)
+        restarted.close()
+        assert [(r.name, r.levelno) for r in caplog.records] == \
+            [("aa.journal", logging.WARNING)]
+        message = caplog.records[0].getMessage()
+        assert str(path) in message
+        assert f" {len(torn)} bytes" in message
+        assert [r.seq for r in jn.read_records(str(path))] == [1, 2]
+
+    def test_unterminated_whole_record_is_not_logged(self, tmp_path, caplog):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"seq": 1, "written": 1, "type": "shout", '
+                        '"data": {"id": "a"}}')
+        journal = jn.Journal(str(path), next_seq=2)
+        with caplog.at_level(logging.INFO, logger="aa.journal"):
+            journal.append_many([("shout", {"id": "b"})], written=2)
+        journal.close()
+        assert caplog.records == []
+        assert [r.seq for r in jn.read_records(str(path))] == [1, 2]
 
     @pytest.mark.parametrize("seqs", [[1, 3], [1, 1], [1, 2, 1], [2]],
                              ids=["gap", "duplicate", "decrease", "late-start"])
@@ -406,6 +444,105 @@ class TestReport:
         expected = [s.message for s in reversed(ordered[-2:])]
         latest = [e["message"] for e in store.report(n=2)["latest"]]
         assert latest == expected
+
+
+class ExplodingList(list):
+    """Stands in for ``state.shouts``; a read path that scans it fails."""
+
+    def __iter__(self):
+        raise AssertionError("a read path iterated state.shouts")
+
+
+NICKS = ("bob", "eve", "ann")
+START = int(FakeClock().now)
+
+# one step against a live store: a plain shout, a start or stop (a stop may
+# mark lost slots in the past), an explicit lost mark, an import of older
+# mined shouts through the journal (the store is then rebuilt), or a read
+STEPS = st.one_of(
+    st.tuples(st.just("shout"), st.sampled_from(NICKS),
+              st.sampled_from([0, 0, 1, 30, 1000])),
+    st.tuples(st.sampled_from(["start", "stop"]), st.sampled_from(NICKS),
+              st.sampled_from([0, 1, 2000])),
+    st.tuples(st.just("lost"), st.sampled_from(NICKS), st.integers(0, 3)),
+    st.tuples(st.just("import"), st.sampled_from(NICKS),
+              st.lists(st.integers(-3000, 3000), min_size=1, max_size=4)),
+    st.tuples(st.just("read"), st.none(), st.none()),
+)
+TIMES = st.one_of(st.none(), st.integers(START - 3500, START + 40_000))
+QUERY_NICKS = st.one_of(st.none(), st.sampled_from(NICKS + ("Bob", "zed")))
+QUERIES = st.lists(st.tuples(QUERY_NICKS, TIMES, TIMES, st.integers(1, 25)),
+                   min_size=1, max_size=4)
+
+
+def naive_listing(shouts, nick, lo, hi):
+    return [s for s in sorted(shouts, key=lambda s: s.created)
+            if (nick is None or s.nick == nick.lower())
+            and (lo is None or s.created >= lo) and (hi is None or s.created <= hi)]
+
+
+def assert_reads_match_naive_sort(store, queries):
+    shouts = list(store.state.shouts)
+    store.state.shouts = ExplodingList(shouts)
+    try:
+        for nick, lo, hi, n in queries:
+            since = iso8601(lo) if lo is not None else None
+            until = iso8601(hi) if hi is not None else None
+            assert store.list_shouts(nick, since, until) == \
+                naive_listing(shouts, nick, lo, hi)
+            report = store.report(n)
+            ordered = naive_listing(shouts, None, None, None)
+            assert report["latest"] == \
+                [shout_listing_entry(s) for s in reversed(ordered[-n:])]
+            assert report["counts_by_user"] == \
+                dict(sorted(Counter(s.nick for s in shouts).items()))
+        assert list(store.users().items()) == \
+            list(users_from_shouts(shouts).items())
+    finally:
+        store.state.shouts = shouts
+
+
+class TestCreatedIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(STEPS, max_size=25), QUERIES)
+    def test_reads_equal_sorted_arrival_order(self, steps, queries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/j.jsonl"
+            clock = FakeClock()
+            store = Store(path, clock=clock)
+            try:
+                for op, nick, arg in steps:
+                    if op == "shout":
+                        clock.advance(arg)
+                        store.receive_shout(nick, f"work {clock.now}")
+                    elif op in ("start", "stop"):
+                        clock.advance(arg)
+                        try:
+                            store.receive_message(nick, op)
+                        except NoOpenSession:
+                            pass
+                    elif op == "lost":
+                        sid = store.state.open_sessions.get(nick)
+                        try:
+                            store.emit_lost(sid or "none", arg)
+                        except (EmptySession, NotLost, UnknownSession):
+                            pass
+                    elif op == "import":
+                        store.close()
+                        mined = [Shout(id=uuid.uuid4().hex, nick=nick,
+                                       message=f"mined {age}", source=Source.MINED,
+                                       created=store.state.last_created - age)
+                                 for age in arg]
+                        import_shouts(path, mined, store.journal.next_seq)
+                        store = Store(path, clock=clock)
+                    else:
+                        assert_reads_match_naive_sort(store, queries)
+                assert_reads_match_naive_sort(store, queries)
+                store.close()
+                store = Store(path, clock=clock)
+                assert_reads_match_naive_sort(store, queries)
+            finally:
+                store.close()
 
 
 class TestReplayEquivalence:

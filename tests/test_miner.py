@@ -213,13 +213,13 @@ class TestDedup:
 class TestImport:
     def test_empty_import_is_noop(self, tmp_path):
         journal = str(tmp_path / "j.jsonl")
-        assert import_shouts(journal, []) == 0
+        assert import_shouts(journal, [], 1) == 0
         assert not (tmp_path / "j.jsonl").exists()
 
     def test_import_appends_records(self, tmp_path):
         journal = str(tmp_path / "j.jsonl")
         kept = [mined(f"note {i}", created=i) for i in range(5)]
-        assert import_shouts(journal, kept) == 5
+        assert import_shouts(journal, kept, 1) == 5
         state = jn.replay(journal)
         assert len(state.shouts) == 5
         assert all(s.source is Source.MINED for s in state.shouts)
@@ -227,7 +227,7 @@ class TestImport:
     def test_import_continues_sequence(self, tmp_path, store, clock):
         store.receive_shout("bob", "existing")
         store.close()
-        import_shouts(store.journal.path, [mined("mined in")])
+        import_shouts(store.journal.path, [mined("mined in")], 2)
         seqs = [r.seq for r in jn.read_records(store.journal.path)]
         assert seqs == [1, 2]
 
@@ -269,7 +269,7 @@ class TestPipeline:
     def test_corpus_from_journal(self, store, clock):
         store.receive_shout("bob", "stored text")
         store.close()
-        corpus = corpus_from_journal(store.journal.path)
+        corpus = corpus_from_journal(jn.replay(store.journal.path))
         assert corpus == {"stored text"}
 
 

@@ -209,6 +209,15 @@ class TestReportEndpoint:
         report = get_json(live_server.url + "/report", params={"n": 2})
         assert [e["message"] for e in report["latest"]] == ["n4", "n3"]
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_client_error(self, live_server, n):
+        for i in range(5):
+            post_json(live_server.url + "/shout",
+                      params={"nick": "bob", "msg": f"n{i}"})
+        status, body = http_get(live_server.url + "/report", params={"n": n})
+        assert status == 400
+        assert json.loads(body)["error"] == "bad_request"
+
 
 def test_unknown_route_is_404(live_server):
     status, body = http_get(live_server.url + "/nope")
