@@ -6,6 +6,7 @@ Sequence numbers strictly increase with no gaps within one file.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -131,7 +132,11 @@ def review_from_dict(data: dict) -> ValidationReview:
 
 
 class Journal:
-    """Writer for one journal file; appends are flushed before returning."""
+    """Writer for one journal file; appends are flushed before returning.
+
+    The first append takes an exclusive advisory lock on the file, held until
+    ``close``; a second writer on the same file is refused with JournalError.
+    """
 
     def __init__(self, path: str, next_seq: int = 1):
         self.path = path
@@ -141,10 +146,20 @@ class Journal:
     def _handle(self):
         if self._fh is None:
             try:
-                _end_last_line(self.path)
-                self._fh = open(self.path, "a", encoding="utf-8")
+                fh = open(self.path, "a", encoding="utf-8")
             except OSError as exc:
                 raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                _end_last_line(self.path)
+            except BlockingIOError as exc:
+                fh.close()
+                raise JournalError(f"journal {self.path} is locked by another "
+                                   f"writer") from exc
+            except OSError as exc:
+                fh.close()
+                raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
+            self._fh = fh
         return self._fh
 
     def append_many(self, items: list[tuple[str, dict]], written: int) -> list[JournalRecord]:

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from . import journal as jn
 from .config import parse_kv
-from .errors import BadPattern, UnreadableSource
+from .errors import BadPattern, JournalError, UnreadableSource
 from .model import Shout, Source, normalize_nick
 from .parsing import DEFAULT_CONFIG, ParserConfig, flag_deviation, parse
 
@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         specs = [load_source_spec(p) for p in args.source]
         report = mine(specs, args.mode, args.corpus, key=args.key,
                       dry_run=args.dry_run, prefix=args.prefix, tags=tags)
-    except (BadPattern, UnreadableSource) as exc:
+    except (BadPattern, JournalError, UnreadableSource) as exc:
         print(f"aa-mine: {exc}", file=sys.stderr)
         return 2
     json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)

@@ -7,6 +7,7 @@ Timestamps are UTC seconds since the epoch, second precision.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable
@@ -149,7 +150,7 @@ def normalize_nick(raw: str) -> str:
 
 def iso8601(ts: int) -> str:
     """Render epoch seconds as an ISO 8601 UTC timestamp."""
-    return datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
 
 
 def parse_iso8601(text: str) -> int:

@@ -79,6 +79,8 @@ class Store:
         self.parser_config = parser_config
         self.state = jn.replay(journal_path)
         self.journal = jn.Journal(journal_path, next_seq=self.state.last_seq + 1)
+        # shout id -> (shout, its encoded listing entry); filled by listings
+        self._listing: dict[str, tuple[Shout, str]] = {}
 
     # -- time ------------------------------------------------------------
 
@@ -294,8 +296,22 @@ class Store:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def shouts_json(self, **filters) -> str:
-        entries = [shout_listing_entry(s) for s in self.list_shouts(**filters)]
-        return json.dumps(entries, sort_keys=True)
+        """The listing as a JSON array, joined from per-shout encodings.
+
+        Shouts never change once stored, so each entry is encoded on its first
+        listing and kept. An entry is re-encoded when the cached shout is not
+        the one listed (a journal holding a duplicate id). The fill runs
+        outside the lock; racing threads store equal strings.
+        """
+        parts = []
+        for shout in self.list_shouts(**filters):
+            cached = self._listing.get(shout.id)
+            if cached is None or cached[0] is not shout:
+                entry = json.dumps(shout_listing_entry(shout), sort_keys=True)
+                cached = self._listing[shout.id] = (shout, entry)
+            parts.append(cached[1])
+        # json.dumps separates list items with ", "
+        return "[" + ", ".join(parts) + "]"
 
     def session_view(self, session_id: str) -> dict:
         session = self._session(session_id)

@@ -1,6 +1,8 @@
 import json
 import logging
+import sys
 import tempfile
+import threading
 import uuid
 from collections import Counter
 from pathlib import Path
@@ -24,7 +26,14 @@ from aa.errors import (
     UnknownSession,
 )
 from aa.miner import import_shouts
-from aa.model import MessageKind, Shout, Source, iso8601, users_from_shouts
+from aa.model import (
+    MessageKind,
+    Shout,
+    Source,
+    ValidationReview,
+    iso8601,
+    users_from_shouts,
+)
 from aa.store import Store, render_text_line, shout_listing_entry
 
 
@@ -95,6 +104,23 @@ class TestJournal:
             for n in seqs))
         with pytest.raises(JournalError, match=rf":{len(seqs)}: seq {seqs[-1]}, "):
             jn.replay(str(path))
+
+    def test_second_writer_is_refused(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        first, second = jn.Journal(path), jn.Journal(path, next_seq=2)
+        first.append_many([("shout", {"id": "a"})], written=1)
+        try:
+            with pytest.raises(JournalError, match=f"journal {path} is locked"):
+                second.append_many([("shout", {"id": "b"})], written=2)
+            # readers take no lock
+            assert [r.seq for r in jn.read_records(path)] == [1]
+            first.append_many([("shout", {"id": "c"})], written=3)
+        finally:
+            first.close()
+        second.next_seq = 3
+        second.append_many([("shout", {"id": "d"})], written=4)
+        second.close()
+        assert [r.data["id"] for r in jn.read_records(path)] == ["a", "c", "d"]
 
     def test_restart_after_crash_at_every_byte_of_last_record(self, tmp_path, clock):
         seed = tmp_path / "seed.jsonl"
@@ -445,6 +471,23 @@ class TestReport:
         latest = [e["message"] for e in store.report(n=2)["latest"]]
         assert latest == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=12), st.integers(1, 14))
+    def test_latest_reviews_equal_full_sort_with_ties(self, created, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Store(f"{tmp}/j.jsonl")
+            try:
+                store.state.reviews = {
+                    f"s{i}": ValidationReview(session=f"s{i}", reviewer="eve",
+                                              score=0.5, comment=None, created=c)
+                    for i, c in enumerate(created)}
+                expected = sorted(store.state.reviews.values(),
+                                  key=lambda r: r.created, reverse=True)[:n]
+                assert store.report(n)["latest_reviews"] == \
+                    [jn.review_to_dict(r) for r in expected]
+            finally:
+                store.close()
+
 
 class ExplodingList(list):
     """Stands in for ``state.shouts``; a read path that scans it fails."""
@@ -502,47 +545,158 @@ def assert_reads_match_naive_sort(store, queries):
         store.state.shouts = shouts
 
 
+def run_steps(steps, check):
+    """Drive a fresh store through ``steps``; ``check`` it at every read, at
+    the end, and once more on a store rebuilt from the journal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/j.jsonl"
+        clock = FakeClock()
+        store = Store(path, clock=clock)
+        try:
+            for op, nick, arg in steps:
+                if op == "shout":
+                    clock.advance(arg)
+                    store.receive_shout(nick, f"work {clock.now}")
+                elif op in ("start", "stop"):
+                    clock.advance(arg)
+                    try:
+                        store.receive_message(nick, op)
+                    except NoOpenSession:
+                        pass
+                elif op == "lost":
+                    sid = store.state.open_sessions.get(nick)
+                    try:
+                        store.emit_lost(sid or "none", arg)
+                    except (EmptySession, NotLost, UnknownSession):
+                        pass
+                elif op == "import":
+                    store.close()
+                    mined = [Shout(id=uuid.uuid4().hex, nick=nick,
+                                   message=f"mined {age}", source=Source.MINED,
+                                   created=store.state.last_created - age)
+                             for age in arg]
+                    import_shouts(path, mined, store.journal.next_seq)
+                    store = Store(path, clock=clock)
+                else:
+                    check(store)
+            check(store)
+            store.close()
+            store = Store(path, clock=clock)
+            check(store)
+        finally:
+            store.close()
+
+
 class TestCreatedIndex:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(STEPS, max_size=25), QUERIES)
     def test_reads_equal_sorted_arrival_order(self, steps, queries):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = f"{tmp}/j.jsonl"
-            clock = FakeClock()
-            store = Store(path, clock=clock)
+        run_steps(steps, lambda store: assert_reads_match_naive_sort(store, queries))
+
+
+def assert_json_is_fresh_encoding(store, queries):
+    for nick, lo, hi, _ in queries:
+        since = iso8601(lo) if lo is not None else None
+        until = iso8601(hi) if hi is not None else None
+        listed = store.list_shouts(nick, since, until)
+        fresh = json.dumps([shout_listing_entry(s) for s in listed], sort_keys=True)
+        assert store.shouts_json(nick=nick, since=since, until=until) == fresh
+
+
+def shout_record(seq, shout_id, nick, message, created):
+    return json.dumps({"seq": seq, "written": created, "type": "shout",
+                       "data": {"id": shout_id, "nick": nick, "message": message,
+                                "created": created}}) + "\n"
+
+
+class TestListingCache:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(STEPS, max_size=25), QUERIES)
+    def test_json_equals_fresh_encoding(self, steps, queries):
+        run_steps(steps, lambda store: assert_json_is_fresh_encoding(store, queries))
+
+    def test_duplicate_id_lists_each_shouts_own_fields(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text(shout_record(1, "dup", "bob", "first", 100)
+                        + shout_record(2, "dup", "eve", "second", 200))
+        store = Store(str(path))
+        try:
+            for _ in range(2):
+                for nick in ("bob", "eve", None):
+                    listed = store.list_shouts(nick=nick)
+                    assert store.shouts_json(nick=nick) == json.dumps(
+                        [shout_listing_entry(s) for s in listed], sort_keys=True)
+            entries = json.loads(store.shouts_json())
+            assert [(e["id"], e["nick"], e["message"]) for e in entries] == \
+                [("dup", "bob", "first"), ("dup", "eve", "second")]
+        finally:
+            store.close()
+
+    def test_each_entry_is_encoded_once(self, tmp_path, clock, monkeypatch):
+        path = str(tmp_path / "j.jsonl")
+        writer = Store(path, clock=clock)
+        for i in range(5):
+            writer.receive_shout("bob" if i % 2 else "eve", f"note {i}")
+            clock.advance(60)
+        writer.close()
+        calls = Counter()
+
+        def counting(shout):
+            calls[shout.id] += 1
+            return shout_listing_entry(shout)
+
+        monkeypatch.setattr("aa.store.shout_listing_entry", counting)
+        store = Store(path, clock=clock)
+        try:
+            assert sum(calls.values()) == 0
+            first = store.shouts_json()
+            assert sum(calls.values()) == 5
+            assert store.shouts_json() == first
+            assert store.shouts_json(nick="bob") == json.dumps(
+                [e for e in json.loads(first) if e["nick"] == "bob"], sort_keys=True)
+            assert sum(calls.values()) == 5
+            store.receive_shout("bob", "one more")
+            store.shouts_json()
+            assert calls == Counter({s.id: 1 for s in store.list_shouts()})
+        finally:
+            store.close()
+
+    def test_concurrent_cold_listings_agree(self, store, clock):
+        for i in range(200):
+            store.receive_shout("bob", f"note {i} #aa")
+            clock.advance(1)
+        expected = json.dumps([shout_listing_entry(s) for s in store.list_shouts()],
+                              sort_keys=True)
+        results, errors = [], []
+
+        def reader():
             try:
-                for op, nick, arg in steps:
-                    if op == "shout":
-                        clock.advance(arg)
-                        store.receive_shout(nick, f"work {clock.now}")
-                    elif op in ("start", "stop"):
-                        clock.advance(arg)
-                        try:
-                            store.receive_message(nick, op)
-                        except NoOpenSession:
-                            pass
-                    elif op == "lost":
-                        sid = store.state.open_sessions.get(nick)
-                        try:
-                            store.emit_lost(sid or "none", arg)
-                        except (EmptySession, NotLost, UnknownSession):
-                            pass
-                    elif op == "import":
-                        store.close()
-                        mined = [Shout(id=uuid.uuid4().hex, nick=nick,
-                                       message=f"mined {age}", source=Source.MINED,
-                                       created=store.state.last_created - age)
-                                 for age in arg]
-                        import_shouts(path, mined, store.journal.next_seq)
-                        store = Store(path, clock=clock)
-                    else:
-                        assert_reads_match_naive_sort(store, queries)
-                assert_reads_match_naive_sort(store, queries)
-                store.close()
-                store = Store(path, clock=clock)
-                assert_reads_match_naive_sort(store, queries)
-            finally:
-                store.close()
+                for _ in range(5):
+                    results.append(store.shouts_json(nick="bob"))
+            except Exception as exc:  # reported below; a thread cannot raise
+                errors.append(exc)
+
+        def writer():
+            try:
+                for i in range(50):
+                    store.receive_shout("eve", f"beside the readers {i}")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * 30
 
 
 class TestReplayEquivalence:

@@ -292,3 +292,14 @@ class TestCliErrors:
         code = mine_main(["--source", str(spec)])
         assert code == 2
         assert "unknown source kind" in capsys.readouterr().err
+
+    def test_corpus_held_by_a_live_store_is_refused(self, tmp_path, store, capsys):
+        store.receive_shout("bob", "the server wrote first")
+        log = tmp_path / "irc.log"
+        log.write_text("[2013-05-02 14:30:11] <bob> ;aa mined note\n")
+        spec = tmp_path / "source.conf"
+        spec.write_text(f"kind = chatlog\npath = {log}\ntimezone = +0000\n")
+        code = mine_main(["--source", str(spec), "--corpus", store.journal.path])
+        assert code == 2
+        assert f"journal {store.journal.path} is locked" in capsys.readouterr().err
+        assert [r.seq for r in jn.read_records(store.journal.path)] == [1]

@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,12 @@ def test_iso8601_round_trip():
     ts = 1367505011
     assert iso8601(ts) == "2013-05-02T14:30:11Z"
     assert parse_iso8601(iso8601(ts)) == ts
+
+
+@given(st.integers(-62_135_596_800, 253_402_300_799))  # years 1 to 9999
+def test_iso8601_equals_datetime_rendering(ts):
+    expected = datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert iso8601(ts) == expected
 
 
 def test_parse_iso8601_naive_is_utc():
