@@ -12,7 +12,7 @@ import os
 import selectors
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib import error, request
 from urllib.parse import urlencode
@@ -343,23 +343,13 @@ def main(argv: list[str] | None = None) -> int:
     p_report.add_argument("-n", type=int, default=20)
 
     args = parser.parse_args(argv)
+    overrides = {key: getattr(args, key)
+                 for key in ("server", "nick", "slot", "tolerance", "spool")
+                 if getattr(args, key) is not None}
     try:
-        config = load_client_config(args.config)
+        config = replace(load_client_config(args.config), **overrides)
     except ValueError as exc:
         print(f"error: bad client config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.server:
-        config.server = args.server
-    if args.nick:
-        config.nick = args.nick
-    if args.slot:
-        config.slot = args.slot
-    if args.tolerance is not None:
-        config.tolerance = args.tolerance
-    if args.spool:
-        config.spool = args.spool
-    if config.slot <= 0 or not 0 <= config.tolerance < config.slot / 2:
-        print("error: need slot > 0 and 0 <= tolerance < slot/2", file=sys.stderr)
         return EXIT_USAGE
 
     try:

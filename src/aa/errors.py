@@ -30,10 +30,6 @@ class NotLost(AAError):
     code = "not_lost"
 
 
-class MixedUsers(AAError):
-    code = "mixed_users"
-
-
 class NoEligibleValidator(AAError):
     code = "no_eligible_validator"
 

@@ -134,33 +134,35 @@ def review_from_dict(data: dict) -> ValidationReview:
 class Journal:
     """Writer for one journal file; appends are flushed before returning.
 
-    The first append takes an exclusive advisory lock on the file, held until
-    ``close``; a second writer on the same file is refused with JournalError.
+    Opening a journal takes an exclusive advisory lock on the file, held
+    until ``close``, and repairs a torn final line; a second writer on the
+    same file is refused with JournalError. A writer that replays the file
+    opens its Journal first, so no other writer can append in between.
     """
 
     def __init__(self, path: str, next_seq: int = 1):
         self.path = path
         self.next_seq = next_seq
-        self._fh = None
+        try:
+            fh = open(path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise JournalError(f"cannot open journal {path}: {exc}") from exc
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            _end_last_line(path)
+        except BlockingIOError as exc:
+            fh.close()
+            raise JournalError(f"journal {path} is locked by another writer") from exc
+        except OSError as exc:
+            fh.close()
+            raise JournalError(f"cannot open journal {path}: {exc}") from exc
+        self._fh = fh
 
-    def _handle(self):
-        if self._fh is None:
-            try:
-                fh = open(self.path, "a", encoding="utf-8")
-            except OSError as exc:
-                raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
-            try:
-                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                _end_last_line(self.path)
-            except BlockingIOError as exc:
-                fh.close()
-                raise JournalError(f"journal {self.path} is locked by another "
-                                   f"writer") from exc
-            except OSError as exc:
-                fh.close()
-                raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
-            self._fh = fh
-        return self._fh
+    def __enter__(self) -> "Journal":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def append_many(self, items: list[tuple[str, dict]], written: int) -> list[JournalRecord]:
         """Append several records in one write; nothing advances on failure."""
@@ -174,30 +176,27 @@ class Journal:
             for r in records
         )
         try:
-            fh = self._handle()
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
+            self._fh.write(payload)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
         except OSError as exc:
             raise JournalError(f"journal write failed: {exc}") from exc
         self.next_seq += len(records)
         return records
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
 
 def _end_last_line(path: str) -> None:
-    """Make an unterminated final line agree with read_records before appending.
+    """Make an unterminated final line agree with read_records.
 
     A crash mid-write leaves the last line without its newline. If that line
-    is not JSON, read_records dropped it as torn, so it is cut off; otherwise
-    it was read as a whole record and only gains its newline. Either way the
+    is not JSON, read_records drops it as torn, so it is cut off; otherwise
+    it reads as a whole record and only gains its newline. Either way the
     next append starts a line of its own. A cut is logged with its size.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    if os.path.getsize(path) == 0:
         return
     with open(path, "r+b") as fh:
         fh.seek(-1, os.SEEK_END)

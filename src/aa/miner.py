@@ -14,7 +14,8 @@ import json
 import re
 import sys
 import uuid
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterator
@@ -23,14 +24,13 @@ from . import journal as jn
 from .config import parse_kv
 from .errors import BadPattern, JournalError, UnreadableSource
 from .model import Shout, Source, normalize_nick
-from .parsing import DEFAULT_CONFIG, ParserConfig, flag_deviation, parse
+from .parsing import DEFAULT_CONFIG, ParseResult, ParserConfig, flag_deviation, parse
 
 DEFAULT_CHATLOG_PATTERN = (
     r"^\[(?P<timestamp>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})\] "
     r"<(?P<nick>[^>]+)> (?P<text>.*)$"
 )
 DEFAULT_PREFIX = ";aa "
-DEFAULT_UBIQUITOUS_TAGS = frozenset({"aao0"})
 
 _TS_FORMATS = (
     "%Y-%m-%d %H:%M:%S",
@@ -105,7 +105,13 @@ class MiningReport:
 
 @dataclass
 class ParsedSource:
-    candidates: list[Shout]
+    """A source's usable rows, each (normalized nick, message, created).
+
+    The message is whitespace-normalized and not blank. Rows are not parsed
+    here; select_shouts parses the ones it needs.
+    """
+
+    rows: list[tuple[str, str, int]]
     scanned: int
     skipped: int
 
@@ -129,10 +135,15 @@ def make_mined_shout(nick: str, text: str, created: int,
                      parser_config: ParserConfig = DEFAULT_CONFIG) -> Shout:
     """A candidate shout: parsed, whitespace-normalized, source=mined."""
     message = " ".join(text.split())
-    parsed = parse(message, parser_config)
+    return _mined_shout(normalize_nick(nick), message, created,
+                        parse(message, parser_config), parser_config)
+
+
+def _mined_shout(nick: str, message: str, created: int, parsed: ParseResult,
+                 parser_config: ParserConfig) -> Shout:
     return Shout(
         id=uuid.uuid4().hex,
-        nick=normalize_nick(nick),
+        nick=nick,
         message=message,
         created=created,
         source=Source.MINED,
@@ -143,24 +154,31 @@ def make_mined_shout(nick: str, text: str, created: int,
     )
 
 
-def parse_source(spec: SourceSpec,
-                 parser_config: ParserConfig = DEFAULT_CONFIG) -> ParsedSource:
-    """Extract candidate shouts; unparseable rows are counted, not fatal."""
+def parse_source(spec: SourceSpec) -> ParsedSource:
+    """Extract a source's rows; unusable rows are counted, not fatal.
+
+    A row is skipped when it is unmatched or incomplete, or when its
+    timestamp is bad or its nick or text is blank.
+    """
     offset = spec.utc_offset()
     rows, (nick_key, text_key, time_key) = _rows(spec)
-    candidates, scanned, skipped = [], 0, 0
+    usable, scanned, skipped = [], 0, 0
     try:
         for row in rows:
             scanned += 1
             try:
                 created = _parse_timestamp(row[time_key], offset)
-                candidates.append(make_mined_shout(row[nick_key], row[text_key],
-                                                   created, parser_config))
+                message = " ".join(row[text_key].split())
+                nick = normalize_nick(row[nick_key])
             except Exception:  # noqa: BLE001 - unmatched (None) or malformed row
+                message = ""
+            if message:
+                usable.append((nick, message, created))
+            else:
                 skipped += 1
     except OSError as exc:
         raise UnreadableSource(f"cannot read {spec.path}: {exc}") from exc
-    return ParsedSource(candidates, scanned, skipped)
+    return ParsedSource(usable, scanned, skipped)
 
 
 def _rows(spec: SourceSpec) -> tuple[Iterator, tuple[str, str, str]]:
@@ -203,26 +221,30 @@ def _tabular_rows(path: str, delimiter: str) -> Iterator[dict]:
         yield from csv.DictReader(fh, delimiter=delimiter)
 
 
-def select_shouts(candidates: list[Shout], mode: str = "prefix", *,
+def select_shouts(rows: list[tuple[str, str, int]], mode: str = "prefix", *,
                   prefix: str = DEFAULT_PREFIX,
-                  tags: frozenset[str] = DEFAULT_UBIQUITOUS_TAGS,
                   parser_config: ParserConfig = DEFAULT_CONFIG) -> list[Shout]:
-    """Keep the candidates that are actually shouts.
+    """Build a candidate shout from each row that is actually a shout.
 
     prefix: keep prefixed messages, prefix stripped; tags: keep messages
-    carrying a configured ubiquitous tag, text untouched; all: keep everything.
+    carrying one of ``parser_config.ubiquitous_tags``, text untouched; all:
+    keep everything. Each kept row is parsed once, and in prefix mode a
+    dropped row is not parsed at all.
     """
     if mode == "all":
-        return list(candidates)
+        return [make_mined_shout(*row, parser_config) for row in rows]
     if mode == "prefix":
-        kept = []
-        for c in candidates:
-            if c.message.startswith(prefix) and c.message[len(prefix):].strip():
-                kept.append(make_mined_shout(c.nick, c.message[len(prefix):],
-                                             c.created, parser_config))
-        return kept
+        return [make_mined_shout(nick, message[len(prefix):], created, parser_config)
+                for nick, message, created in rows
+                if message.startswith(prefix) and message[len(prefix):].strip()]
     if mode == "tags":
-        return [c for c in candidates if any(t.name in tags for t in c.tags)]
+        kept = []
+        for nick, message, created in rows:
+            parsed = parse(message, parser_config)
+            if parsed.ubiquitous:
+                kept.append(_mined_shout(nick, message, created, parsed,
+                                         parser_config))
+        return kept
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -265,16 +287,12 @@ def corpus_from_journal(state: jn.ReplayState, key: str = "text") -> set:
     return {dedup_key(s, key) for s in state.shouts}
 
 
-def import_shouts(journal_path: str, kept: list[Shout], next_seq: int) -> int:
-    """Append kept shouts to the journal in one staged write from ``next_seq`` on."""
+def import_shouts(journal: jn.Journal, kept: list[Shout]) -> int:
+    """Append kept shouts to an open journal in one staged write."""
     if not kept:
         return 0
-    journal = jn.Journal(journal_path, next_seq=next_seq)
     written = int(datetime.now(timezone.utc).timestamp())
-    try:
-        journal.append_many([(jn.SHOUT, jn.shout_to_dict(s)) for s in kept], written)
-    finally:
-        journal.close()
+    journal.append_many([(jn.SHOUT, jn.shout_to_dict(s)) for s in kept], written)
     return len(kept)
 
 
@@ -310,16 +328,19 @@ def load_source_spec(path: str) -> SourceSpec:
 def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
          key: str = "text", dry_run: bool = False,
          prefix: str = DEFAULT_PREFIX,
-         tags: frozenset[str] = DEFAULT_UBIQUITOUS_TAGS,
          parser_config: ParserConfig = DEFAULT_CONFIG) -> MiningReport:
-    """Full pipeline: parse every source, select, dedup, and import."""
+    """Full pipeline: read every source, select, dedup, and import.
+
+    An import locks the corpus before reading it, so no other writer can
+    append between the replay and the import.
+    """
     all_candidates: list[Shout] = []
     per_source: dict = {}
     scanned = 0
     for spec in specs:
-        outcome = parse_source(spec, parser_config)
-        selected = select_shouts(outcome.candidates, mode, prefix=prefix,
-                                 tags=tags, parser_config=parser_config)
+        outcome = parse_source(spec)
+        selected = select_shouts(outcome.rows, mode, prefix=prefix,
+                                 parser_config=parser_config)
         per_source[spec.path] = {
             "scanned": outcome.scanned,
             "skipped": outcome.skipped,
@@ -327,11 +348,14 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
         }
         scanned += outcome.scanned
         all_candidates.extend(selected)
-    state = jn.replay(corpus_path) if corpus_path else jn.ReplayState()
-    kept, report = dedup(all_candidates, corpus_from_journal(state, key), key=key,
-                         scanned=scanned, per_source=per_source)
-    if not dry_run and corpus_path:
-        import_shouts(corpus_path, kept, state.last_seq + 1)
+    importing = bool(corpus_path) and not dry_run
+    with (jn.Journal(corpus_path) if importing else nullcontext()) as journal:
+        state = jn.replay(corpus_path) if corpus_path else jn.ReplayState()
+        kept, report = dedup(all_candidates, corpus_from_journal(state, key),
+                             key=key, scanned=scanned, per_source=per_source)
+        if importing:
+            journal.next_seq = state.last_seq + 1
+            import_shouts(journal, kept)
     return report
 
 
@@ -347,15 +371,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--key", choices=("text", "nick-text"), default="text",
                         help="dedup key; nick-text departs from text-only matching")
     parser.add_argument("--prefix", default=DEFAULT_PREFIX)
-    parser.add_argument("--tags", default="aao0",
+    parser.add_argument("--tags",
+                        default=",".join(sorted(DEFAULT_CONFIG.ubiquitous_tags)),
                         help="comma-separated ubiquitous tag names for tags mode")
     args = parser.parse_args(argv)
 
     tags = frozenset(t.strip().lower() for t in args.tags.split(",") if t.strip())
+    parser_config = replace(DEFAULT_CONFIG, ubiquitous_tags=tags)
     try:
         specs = [load_source_spec(p) for p in args.source]
         report = mine(specs, args.mode, args.corpus, key=args.key,
-                      dry_run=args.dry_run, prefix=args.prefix, tags=tags)
+                      dry_run=args.dry_run, prefix=args.prefix,
+                      parser_config=parser_config)
     except (BadPattern, JournalError, UnreadableSource) as exc:
         print(f"aa-mine: {exc}", file=sys.stderr)
         return 2

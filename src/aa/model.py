@@ -137,7 +137,6 @@ class Session:
     slot_duration: int = 900
     shouts: tuple[str, ...] = ()
     screencast: str | None = None
-    review: ValidationReview | None = None
 
 
 def normalize_nick(raw: str) -> str:

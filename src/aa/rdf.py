@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from urllib.parse import quote
 
 from . import journal as jn
-from .model import Session, Shout, User, ValidationReview, iso8601, users_from_shouts
+from .model import Session, Shout, ValidationReview, iso8601, users_from_shouts
 
 DEFAULT_BASE = "http://aa.example.org/"
 
@@ -113,7 +113,6 @@ OWL_FUNCTIONAL = Iri(OWL_NS + "FunctionalProperty")
 OWL_RESTRICTION = Iri(OWL_NS + "Restriction")
 OWL_ON_PROPERTY = Iri(OWL_NS + "onProperty")
 OWL_SOME_VALUES = Iri(OWL_NS + "someValuesFrom")
-OWL_THING = Iri(OWL_NS + "Thing")
 
 
 class Vocabulary:
@@ -222,15 +221,12 @@ def export_ontology(vocab: Vocabulary | None = None) -> list[Triple]:
 
 def export_data(shouts: Sequence[Shout], sessions: Iterable[Session] = (),
                 reviews: Iterable[ValidationReview] = (),
-                users: Iterable[User] | None = None,
                 vocab: Vocabulary | None = None) -> list[Triple]:
     """Instance triples for a store snapshot; IRIs are minted from record ids."""
     vocab = vocab or Vocabulary()
     triples: list[Triple] = []
 
-    if users is None:
-        users = users_from_shouts(shouts).values()
-    for user in users:
+    for user in users_from_shouts(shouts).values():
         node = vocab.instance("user", user.id)
         triples.append(Triple(node, RDF_TYPE, vocab.term("User")))
         for nick in sorted(user.nicks):

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import random
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
     BeforeAnchor,
     EmptySession,
-    MixedUsers,
     NoEligibleValidator,
     NotLost,
     ScoreOutOfRange,
@@ -19,19 +18,14 @@ from .errors import (
 from .model import (
     MessageKind,
     Session,
-    SessionOrigin,
     Shout,
     Source,
-    Tag,
-    TagForm,
-    TagScope,
     User,
     ValidationReview,
 )
 
 DEFAULT_SLOT = 900
 DEFAULT_TOLERANCE = 300
-DEFAULT_GAP = 1800
 IDEAL_SHOUT_COUNT = 8
 IDEAL_MAX_SPAN = 7200
 
@@ -153,39 +147,6 @@ def emit_lost_timeslot(session: Session, shouts: Sequence[Shout], slot_index: in
     )
 
 
-def infer_sessions(shouts: Sequence[Shout], gap_threshold: int = DEFAULT_GAP,
-                   slot_duration: int = DEFAULT_SLOT) -> list[Session]:
-    """Greedy single-pass grouping of one user's time-ordered shouts.
-
-    A gap strictly greater than the threshold starts a new session, so the
-    result is a partition of the input.
-    """
-    if not shouts:
-        return []
-    nicks = {s.nick for s in shouts}
-    if len(nicks) > 1:
-        raise MixedUsers(f"shouts span users {sorted(nicks)}")
-    user = shouts[0].nick
-    runs: list[list[Shout]] = [[shouts[0]]]
-    for prev, cur in zip(shouts, shouts[1:]):
-        if cur.created - prev.created > gap_threshold:
-            runs.append([cur])
-        else:
-            runs[-1].append(cur)
-    sessions = []
-    for i, run in enumerate(runs):
-        sessions.append(Session(
-            id=f"{user}-inferred-{i}",
-            user=user,
-            origin=SessionOrigin.INFERRED,
-            start=run[0].created,
-            end=run[-1].created,
-            slot_duration=slot_duration,
-            shouts=tuple(s.id for s in run),
-        ))
-    return sessions
-
-
 def assign_validator(session: Session, users: Iterable[User], seed: int) -> User:
     """Seeded uniform pick of a reviewer among everyone but the owner."""
     eligible = sorted(
@@ -206,24 +167,3 @@ def make_review(session: Session, reviewer: str, score: float,
         raise ScoreOutOfRange(f"score {score} outside [0, 1]")
     return ValidationReview(session=session.id, reviewer=reviewer, score=score,
                             comment=comment, created=created)
-
-
-def apply_session_tags(shouts: Sequence[Shout], tags: Sequence[Tag] = ()) -> list[Shout]:
-    """Propagate session-wide and until-next-tag tags over member shouts.
-
-    Session-scoped tags attach to every shout. An until-next-tag tag stays
-    active from its carrying shout (or the session start, for tags passed
-    in directly) until the next shout that carries its own word tag.
-    """
-    session_wide = [t for t in tags if t.scope is TagScope.SESSION]
-    active = [t for t in tags if t.scope is TagScope.UNTIL_NEXT_TAG]
-    tagged = []
-    for shout in shouts:
-        own_words = [t for t in shout.tags if t.form is TagForm.WORD]
-        if own_words:
-            active = own_words
-        extra = [t for t in active + session_wide if t not in shout.tags]
-        if extra:
-            shout = replace(shout, tags=shout.tags + tuple(extra))
-        tagged.append(shout)
-    return tagged

@@ -77,8 +77,14 @@ class Store:
         self.slot = slot
         self.tolerance = tolerance
         self.parser_config = parser_config
-        self.state = jn.replay(journal_path)
-        self.journal = jn.Journal(journal_path, next_seq=self.state.last_seq + 1)
+        # locked before the replay, so no other writer can append after it
+        self.journal = jn.Journal(journal_path)
+        try:
+            self.state = jn.replay(journal_path)
+        except BaseException:
+            self.journal.close()
+            raise
+        self.journal.next_seq = self.state.last_seq + 1
         # shout id -> (shout, its encoded listing entry); filled by listings
         self._listing: dict[str, tuple[Shout, str]] = {}
 

@@ -249,3 +249,9 @@ class TestMainRouting:
         code = main(["--slot", "10", "--tolerance", "9",
                      "--spool", str(tmp_path / "s.jsonl"), "status"])
         assert code == EXIT_USAGE
+
+    def test_zero_slot_rejected_by_main(self, tmp_path, capsys):
+        from aa.client import main
+        code = main(["--slot", "0", "--spool", str(tmp_path / "s.jsonl"), "status"])
+        assert code == EXIT_USAGE
+        assert "need slot > 0" in capsys.readouterr().err

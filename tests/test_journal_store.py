@@ -72,9 +72,9 @@ class TestJournal:
         torn = '{"seq": 2, "writ'
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(torn)  # crash mid-write
-        restarted = jn.Journal(str(path), next_seq=2)
         with caplog.at_level(logging.INFO, logger="aa.journal"):
-            restarted.append_many([("shout", {"id": "b"})], written=2)
+            restarted = jn.Journal(str(path), next_seq=2)
+        restarted.append_many([("shout", {"id": "b"})], written=2)
         restarted.close()
         assert [(r.name, r.levelno) for r in caplog.records] == \
             [("aa.journal", logging.WARNING)]
@@ -87,9 +87,9 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         path.write_text('{"seq": 1, "written": 1, "type": "shout", '
                         '"data": {"id": "a"}}')
-        journal = jn.Journal(str(path), next_seq=2)
         with caplog.at_level(logging.INFO, logger="aa.journal"):
-            journal.append_many([("shout", {"id": "b"})], written=2)
+            journal = jn.Journal(str(path), next_seq=2)
+        journal.append_many([("shout", {"id": "b"})], written=2)
         journal.close()
         assert caplog.records == []
         assert [r.seq for r in jn.read_records(str(path))] == [1, 2]
@@ -107,20 +107,41 @@ class TestJournal:
 
     def test_second_writer_is_refused(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        first, second = jn.Journal(path), jn.Journal(path, next_seq=2)
-        first.append_many([("shout", {"id": "a"})], written=1)
-        try:
+        with jn.Journal(path) as first:
             with pytest.raises(JournalError, match=f"journal {path} is locked"):
-                second.append_many([("shout", {"id": "b"})], written=2)
+                jn.Journal(path)
+            first.append_many([("shout", {"id": "a"})], written=1)
             # readers take no lock
             assert [r.seq for r in jn.read_records(path)] == [1]
-            first.append_many([("shout", {"id": "c"})], written=3)
+            first.append_many([("shout", {"id": "b"})], written=2)
+        with jn.Journal(path, next_seq=3) as second:
+            second.append_many([("shout", {"id": "c"})], written=3)
+        assert [r.data["id"] for r in jn.read_records(path)] == ["a", "b", "c"]
+
+    def test_import_beside_a_replayed_store_is_refused(self, tmp_path, clock):
+        path = str(tmp_path / "j.jsonl")
+        writer = Store(path, clock=clock)
+        writer.receive_shout("bob", "first")
+        writer.close()
+        mined = Shout(id="m", nick="eve", message="mined", created=0,
+                      source=Source.MINED)
+        store = Store(path, clock=clock)  # replayed, has not written yet
+        try:
+            with pytest.raises(JournalError, match=f"journal {path} is locked"):
+                with jn.Journal(path, next_seq=2) as journal:
+                    import_shouts(journal, [mined])
+            store.receive_shout("bob", "second")
         finally:
-            first.close()
-        second.next_seq = 3
-        second.append_many([("shout", {"id": "d"})], written=4)
-        second.close()
-        assert [r.data["id"] for r in jn.read_records(path)] == ["a", "c", "d"]
+            store.close()
+        assert [r.seq for r in jn.read_records(path)] == [1, 2]
+        assert [s.message for s in jn.replay(path).shouts] == ["first", "second"]
+
+    def test_store_refused_by_replay_releases_the_lock(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('not json\n{"seq": 1}\n')
+        with pytest.raises(JournalError, match="malformed record"):
+            Store(str(path))
+        jn.Journal(str(path)).close()
 
     def test_restart_after_crash_at_every_byte_of_last_record(self, tmp_path, clock):
         seed = tmp_path / "seed.jsonl"
@@ -575,7 +596,8 @@ def run_steps(steps, check):
                                    message=f"mined {age}", source=Source.MINED,
                                    created=store.state.last_created - age)
                              for age in arg]
-                    import_shouts(path, mined, store.journal.next_seq)
+                    with jn.Journal(path, next_seq=store.journal.next_seq) as journal:
+                        import_shouts(journal, mined)
                     store = Store(path, clock=clock)
                 else:
                     check(store)
@@ -710,6 +732,7 @@ class TestReplayEquivalence:
         sid = store.state.shouts[1].session_ref
         store.attach_screencast(sid, "https://v.example/x")
         store.record_review(sid, "eve", 0.7)
+        store.close()  # the journal has one writer at a time
 
         reloaded = Store(store.journal.path, clock=clock)
         assert reloaded.shouts_json() == store.shouts_json()

@@ -1,10 +1,16 @@
 import json
 import random
+import re
+import tempfile
+from dataclasses import replace
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn
+from aa import parsing
 from aa.errors import BadPattern, UnreadableSource
 from aa.miner import (
     SourceKind,
@@ -21,6 +27,7 @@ from aa.miner import (
 )
 from aa.miner import main as mine_main
 from aa.model import Source
+from aa.parsing import DEFAULT_CONFIG
 
 
 def chatlog_spec(path, **kwargs):
@@ -32,18 +39,13 @@ class TestParseSource:
         log = tmp_path / "irc.log"
         log.write_text("[2013-05-02 14:30:11] <bob> ;aa fixing timer\n")
         outcome = parse_source(chatlog_spec(log))
-        assert len(outcome.candidates) == 1
-        candidate = outcome.candidates[0]
-        assert candidate.nick == "bob"
-        assert candidate.message == ";aa fixing timer"
-        assert candidate.created == 1367505011
-        assert candidate.source is Source.MINED
+        assert outcome.rows == [("bob", ";aa fixing timer", 1367505011)]
 
     def test_empty_file(self, tmp_path):
         log = tmp_path / "empty.log"
         log.write_text("")
         outcome = parse_source(chatlog_spec(log))
-        assert outcome.candidates == []
+        assert outcome.rows == []
         assert outcome.scanned == 0
 
     def test_malformed_lines_counted_not_fatal(self, tmp_path):
@@ -59,16 +61,26 @@ class TestParseSource:
         log = tmp_path / "big.log"
         log.write_text("\n".join(lines) + "\n")
         outcome = parse_source(chatlog_spec(log))
-        assert len(outcome.candidates) == good == 990
+        assert len(outcome.rows) == good == 990
         assert outcome.skipped == 10
         assert outcome.scanned == 1000
+
+    def test_rows_are_normalized_and_blank_rows_skipped(self, tmp_path):
+        log = tmp_path / "irc.log"
+        log.write_text("[2013-05-02 14:30:11] < Bob > ;aa  two\tspaces \n"
+                       "[2013-05-02 14:30:12] <bob>    \n"
+                       "[2013-05-02 14:30:13] <  > no nick\n"
+                       "[2013-13-02 14:30:14] <bob> bad month\n")
+        outcome = parse_source(chatlog_spec(log))
+        assert outcome.rows == [("bob", ";aa two spaces", 1367505011)]
+        assert (outcome.scanned, outcome.skipped) == (4, 3)
 
     def test_timezone_offset_applied(self, tmp_path):
         log = tmp_path / "tz.log"
         log.write_text("[2013-05-02 14:30:11] <bob> note\n")
         shifted = parse_source(chatlog_spec(log, timezone="+0300"))
         utc = parse_source(chatlog_spec(log))
-        assert utc.candidates[0].created - shifted.candidates[0].created == 3 * 3600
+        assert utc.rows[0][2] - shifted.rows[0][2] == 3 * 3600
 
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(UnreadableSource):
@@ -89,7 +101,7 @@ class TestParseSource:
                           mapping={"nick": "author", "message": "text",
                                    "created": "when"})
         outcome = parse_source(spec)
-        assert [c.nick for c in outcome.candidates] == ["bob", "eve"]
+        assert [nick for nick, _, _ in outcome.rows] == ["bob", "eve"]
 
     def test_tabular_dump(self, tmp_path):
         dump = tmp_path / "dump.tsv"
@@ -98,7 +110,7 @@ class TestParseSource:
                           mapping={"nick": "user", "message": "body",
                                    "created": "time"})
         outcome = parse_source(spec)
-        assert outcome.candidates[0].message == "from mysql"
+        assert outcome.rows[0][1] == "from mysql"
 
     def test_dump_mapping_required(self, tmp_path):
         dump = tmp_path / "dump.jsonl"
@@ -111,24 +123,129 @@ def mined(text, nick="bob", created=0):
     return make_mined_shout(nick, text, created)
 
 
+def row(text, nick="bob", created=0):
+    return (nick, text, created)
+
+
+def without_id(shouts):
+    return [replace(s, id="") for s in shouts]
+
+
 class TestSelect:
     def test_prefix_mode_strips(self):
-        kept = select_shouts([mined(";aa reading")], "prefix")
-        assert [s.message for s in kept] == ["reading"]
+        kept = select_shouts([row(";aa reading #aa")], "prefix")
+        assert without_id(kept) == without_id([mined("reading #aa")])
 
     def test_prefix_mode_drops_others(self):
-        assert select_shouts([mined("just chat")], "prefix") == []
+        assert select_shouts([row("just chat"), row(";aa")], "prefix") == []
 
     def test_tags_mode_keeps_tagged(self):
-        kept = select_shouts([mined("shipping release #aao0")], "tags")
-        assert [s.message for s in kept] == ["shipping release #aao0"]
+        kept = select_shouts([row("shipping release #aao0")], "tags")
+        assert without_id(kept) == without_id([mined("shipping release #aao0")])
 
     def test_tags_mode_drops_untagged(self):
-        assert select_shouts([mined("no tags")], "tags") == []
+        assert select_shouts([row("no tags")], "tags") == []
+
+    def test_tags_mode_reads_the_configured_ubiquitous_tags(self):
+        config = replace(DEFAULT_CONFIG, ubiquitous_tags=frozenset({"ship"}))
+        rows = [row("release #ship"), row("release #aao0")]
+        kept = select_shouts(rows, "tags", parser_config=config)
+        assert [s.message for s in kept] == ["release #ship"]
 
     def test_all_mode(self):
-        candidates = [mined("a"), mined("b")]
-        assert select_shouts(candidates, "all") == candidates
+        kept = select_shouts([row("a"), row("tickets", nick="eve", created=5)], "all")
+        assert without_id(kept) == without_id([mined("a"),
+                                               mined("tickets", "eve", 5)])
+        assert all(s.source is Source.MINED for s in kept)
+
+    def test_prefix_mode_parses_kept_lines_only(self, tmp_path, monkeypatch):
+        log = tmp_path / "irc.log"
+        log.write_text("[2013-05-02 14:30:11] <bob> ;aa  first  note\n"
+                       "[2013-05-02 14:30:12] <bob> just chat\n"
+                       "[2013-05-02 14:30:13] <bob> ;aa\n"
+                       "[2013-05-02 14:30:14] <eve> ;aa second #aao0\n"
+                       "[2013-05-02 14:30:15] <eve> chat #aao0\n")
+        parsed = []
+
+        def counting(text, config=DEFAULT_CONFIG):
+            parsed.append(text)
+            return parsing.parse(text, config)
+
+        monkeypatch.setattr("aa.miner.parse", counting)
+        report = mine([chatlog_spec(log)], "prefix", None, dry_run=True)
+        assert report.candidates == 2
+        assert parsed == ["first note", "second #aao0"]
+
+
+# every shape a chat-log line takes: prefixed or not, ";aa" with only
+# spaces after it, blank texts, whitespace runs, unmatched lines and tags
+WORDS = st.sampled_from(["fix", "timer", "#aao0", "#AAO0,", "+aao0", "#ship",
+                         "tickets", "start", "stop", "push", "test", "hello",
+                         "http://x.example", "buy", "fix."])
+GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
+TEXTS = st.tuples(st.sampled_from(["", ";aa ", ";aa", ";aa  ", ";aa\t", " ;aa "]),
+                  st.lists(st.tuples(WORDS, GAPS), max_size=4),
+                  GAPS | st.just("")).map(
+    lambda t: t[0] + "".join(word + gap for word, gap in t[1]) + t[2])
+LINES = st.one_of(
+    st.tuples(st.integers(0, 86_399), st.sampled_from(["bob", " Eve ", "ANA", "  "]),
+              TEXTS).map(lambda t: "[2013-05-02 %02d:%02d:%02d] <%s> %s" % (
+                  t[0] // 3600, t[0] // 60 % 60, t[0] % 60, t[1], t[2])),
+    st.sampled_from(["*** mode change", "[2013-05-02 99:00:00] <bob> bad time",
+                     "[2013-05-02 10:00:00] bob: no brackets"]))
+CONFIGS = [DEFAULT_CONFIG,
+           replace(DEFAULT_CONFIG, ubiquitous_tags=frozenset({"aao0", "ship"})),
+           replace(DEFAULT_CONFIG, word_lexicon=frozenset({"fix"}),
+                   ubiquitous_tags=frozenset({"fix"}), promo_keywords=frozenset({"buy"}))]
+
+
+def mine_the_old_way(spec, mode, config, prefix=";aa "):
+    """Reference: a parsed shout for every line, then selection over shouts."""
+    pattern = re.compile(spec.pattern)
+    candidates, scanned = [], 0
+    with open(spec.path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            scanned += 1
+            match = pattern.match(line.rstrip("\n"))
+            try:
+                created = int(datetime.strptime(match["timestamp"], "%Y-%m-%d %H:%M:%S")
+                              .replace(tzinfo=timezone.utc).timestamp())
+                candidates.append(make_mined_shout(match["nick"], match["text"],
+                                                   created, config))
+            except Exception:  # noqa: BLE001 - the row is skipped
+                pass
+    if mode == "prefix":
+        selected = [make_mined_shout(c.nick, c.message[len(prefix):], c.created, config)
+                    for c in candidates
+                    if c.message.startswith(prefix) and c.message[len(prefix):].strip()]
+    elif mode == "tags":
+        selected = [c for c in candidates
+                    if any(t.name in config.ubiquitous_tags for t in c.tags)]
+    else:
+        selected = candidates
+    per_source = {spec.path: {"scanned": scanned, "skipped": scanned - len(candidates),
+                              "candidates": len(selected)}}
+    _, report = dedup(selected, set(), scanned=scanned, per_source=per_source)
+    return selected, report
+
+
+class TestMineEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(LINES | st.just(""), max_size=30),
+           st.sampled_from(["prefix", "tags", "all"]),
+           st.sampled_from(CONFIGS))
+    def test_select_before_parse_matches_parsing_every_line(self, lines, mode, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "irc.log"
+            log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            spec = chatlog_spec(log)
+            expected, expected_report = mine_the_old_way(spec, mode, config)
+            kept = select_shouts(parse_source(spec).rows, mode, parser_config=config)
+            report = mine([spec], mode, None, dry_run=True, parser_config=config)
+        assert without_id(kept) == without_id(expected)
+        assert report.to_dict() == expected_report.to_dict()
 
 
 def brute_force_dedup(candidates, corpus_texts, key="text"):
@@ -212,22 +329,25 @@ class TestDedup:
 
 class TestImport:
     def test_empty_import_is_noop(self, tmp_path):
-        journal = str(tmp_path / "j.jsonl")
-        assert import_shouts(journal, [], 1) == 0
-        assert not (tmp_path / "j.jsonl").exists()
+        path = tmp_path / "j.jsonl"
+        with jn.Journal(str(path)) as journal:
+            assert import_shouts(journal, []) == 0
+        assert path.read_bytes() == b""
 
     def test_import_appends_records(self, tmp_path):
-        journal = str(tmp_path / "j.jsonl")
+        path = str(tmp_path / "j.jsonl")
         kept = [mined(f"note {i}", created=i) for i in range(5)]
-        assert import_shouts(journal, kept, 1) == 5
-        state = jn.replay(journal)
+        with jn.Journal(path) as journal:
+            assert import_shouts(journal, kept) == 5
+        state = jn.replay(path)
         assert len(state.shouts) == 5
         assert all(s.source is Source.MINED for s in state.shouts)
 
     def test_import_continues_sequence(self, tmp_path, store, clock):
         store.receive_shout("bob", "existing")
         store.close()
-        import_shouts(store.journal.path, [mined("mined in")], 2)
+        with jn.Journal(store.journal.path, next_seq=2) as journal:
+            import_shouts(journal, [mined("mined in")])
         seqs = [r.seq for r in jn.read_records(store.journal.path)]
         assert seqs == [1, 2]
 
@@ -264,7 +384,7 @@ class TestPipeline:
         spec_file.write_text(f"kind = chatlog\npath = {log}\ntimezone = +0000\n")
         spec = load_source_spec(str(spec_file))
         outcome = parse_source(spec)
-        assert outcome.candidates[0].message == ";aa from spec file"
+        assert outcome.rows[0][1] == ";aa from spec file"
 
     def test_corpus_from_journal(self, store, clock):
         store.receive_shout("bob", "stored text")

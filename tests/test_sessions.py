@@ -4,21 +4,18 @@ from hypothesis import given, strategies as st
 from aa.errors import (
     BeforeAnchor,
     EmptySession,
-    MixedUsers,
     NoEligibleValidator,
     NotLost,
     ScoreOutOfRange,
     SelfReview,
 )
-from aa.model import MessageKind, Tag, TagForm, TagScope, User
+from aa.model import MessageKind, User
 from aa.sessions import (
     SlotGrid,
-    apply_session_tags,
     assign_slot,
     assign_validator,
     conformance,
     emit_lost_timeslot,
-    infer_sessions,
     make_review,
 )
 from conftest import make_session, make_shout, on_grid_shouts
@@ -132,65 +129,6 @@ class TestLostTimeslot:
             emit_lost_timeslot(make_session(), shouts + [marker], 3)
 
 
-def brute_force_gap_cuts(shouts, threshold):
-    """Oracle: an explicit scan over every adjacent pair for cut points."""
-    if not shouts:
-        return []
-    cuts = [i for i in range(len(shouts) - 1)
-            if shouts[i + 1].created - shouts[i].created > threshold]
-    segments, prev = [], 0
-    for cut in cuts:
-        segments.append(shouts[prev:cut + 1])
-        prev = cut + 1
-    segments.append(shouts[prev:])
-    return segments
-
-
-class TestInferSessions:
-    def test_empty_input(self):
-        assert infer_sessions([]) == []
-
-    def test_single_run(self):
-        shouts = on_grid_shouts()
-        oracle = brute_force_gap_cuts(shouts, 1800)
-        result = infer_sessions(shouts)
-        assert len(result) == len(oracle) == 1
-        assert result[0].start == 0
-        assert result[0].end == 6300
-
-    def test_wide_gap_splits(self):
-        shouts = [make_shout("a", created=0), make_shout("b", created=3 * 3600)]
-        result = infer_sessions(shouts, gap_threshold=1800)
-        assert len(result) == 2
-        assert all(len(s.shouts) == 1 for s in result)
-
-    def test_mixed_users_rejected(self):
-        with pytest.raises(MixedUsers):
-            infer_sessions([make_shout("a", nick="bob"),
-                            make_shout("b", nick="eve", created=10)])
-
-    @given(st.lists(st.integers(min_value=0, max_value=40000), max_size=40),
-           st.integers(min_value=1, max_value=7200))
-    def test_matches_oracle_and_partitions(self, times, threshold):
-        times = sorted(times)
-        shouts = [make_shout(f"s{i}", created=t) for i, t in enumerate(times)]
-        oracle = brute_force_gap_cuts(shouts, threshold)
-        result = infer_sessions(shouts, gap_threshold=threshold)
-        assert [list(s.shouts) for s in result] == \
-            [[m.id for m in seg] for seg in oracle]
-        flattened = [sid for s in result for sid in s.shouts]
-        assert flattened == [s.id for s in shouts]
-
-    @given(st.lists(st.integers(min_value=0, max_value=40000),
-                    min_size=1, max_size=30))
-    def test_monotonic_in_threshold(self, times):
-        shouts = [make_shout(f"s{i}", created=t)
-                  for i, t in enumerate(sorted(times))]
-        counts = [len(infer_sessions(shouts, gap_threshold=g))
-                  for g in (60, 600, 1800, 7200)]
-        assert counts == sorted(counts, reverse=True)
-
-
 class TestValidator:
     USERS = [User(id=n, nicks=frozenset({n})) for n in ("owner", "a", "b", "c")]
 
@@ -235,29 +173,3 @@ class TestReview:
         with pytest.raises(ScoreOutOfRange):
             make_review(make_session(), "alice", -0.1, None, created=10)
 
-
-class TestSessionTags:
-    def test_session_scope_covers_all_members(self):
-        shouts = on_grid_shouts()
-        tag = Tag(TagForm.WORD, "coding", TagScope.SESSION)
-        tagged = apply_session_tags(shouts, [tag])
-        assert all(tag in s.tags for s in tagged)
-
-    def test_until_next_tag_interval(self):
-        shouts = on_grid_shouts()
-        reading = Tag(TagForm.WORD, "reading", TagScope.UNTIL_NEXT_TAG)
-        writing = Tag(TagForm.WORD, "writing", TagScope.UNTIL_NEXT_TAG)
-        shouts[3] = make_shout("s3", message="reading spec", created=3 * 900,
-                               tags=(reading,))
-        shouts[6] = make_shout("s6", message="writing notes", created=6 * 900,
-                               tags=(writing,))
-        tagged = apply_session_tags(shouts)
-        # oracle: the tag propagates over the half-open interval [3, 6)
-        expected = {f"s{i}": (3 <= i < 6) for i in range(8)}
-        actual = {s.id: reading in s.tags for s in tagged}
-        assert actual == expected
-        assert all(writing in s.tags for s in tagged[6:])
-
-    def test_empty_tag_list_is_identity(self):
-        shouts = on_grid_shouts()
-        assert apply_session_tags(shouts) == shouts
