@@ -11,6 +11,8 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator
 
@@ -64,18 +66,45 @@ def shout_to_dict(shout: Shout) -> dict:
     }
 
 
+class _Members(dict):
+    """Value -> member of one enum; an unknown value is a ValueError."""
+
+    def __init__(self, enum_type: type[Enum], field_name: str):
+        super().__init__({m.value: m for m in enum_type})
+        self.field_name = field_name
+
+    def __missing__(self, value):
+        raise ValueError(f"unknown {self.field_name} {value!r}")
+
+
+_SOURCES = _Members(Source, "source")
+_KINDS = _Members(MessageKind, "kind")
+_DEVIATIONS = _Members(DeviationKind, "deviation")
+_TAG_FORMS = _Members(TagForm, "tag form")
+_TAG_SCOPES = _Members(TagScope, "tag scope")
+
+
+# bounded, so a server that runs for months does not keep every tag it decodes
+@lru_cache(maxsize=4096)
+def _tag(form: str, name: str, scope: str) -> Tag:
+    return Tag(_TAG_FORMS[form], name, _TAG_SCOPES[scope])
+
+
 def shout_from_dict(data: dict) -> Shout:
+    tags = data.get("tags", [])
+    if type(tags) is not list:
+        raise ValueError(f"tags is not a list: {tags!r}")
+    deviation = data.get("deviation")
     return Shout(
         id=data["id"],
         nick=data["nick"],
         message=data["message"],
         created=data["created"],
-        source=Source(data.get("source", "http")),
-        kind=MessageKind(data.get("kind", "shout")),
-        tags=tuple(Tag(TagForm(t["form"]), t["name"], TagScope(t["scope"]))
-                   for t in data.get("tags", ())),
+        source=_SOURCES[data.get("source", "http")],
+        kind=_KINDS[data.get("kind", "shout")],
+        tags=tuple(_tag(t["form"], t["name"], t["scope"]) for t in tags),
         session_ref=data.get("session"),
-        deviation=DeviationKind(data["deviation"]) if data.get("deviation") else None,
+        deviation=_DEVIATIONS[deviation] if deviation else None,
         client_created=data.get("client_created"),
         topic=data.get("topic"),
     )
@@ -221,27 +250,27 @@ def read_records(path: str) -> Iterator[JournalRecord]:
     """
     if not os.path.exists(path):
         return
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
     expected = 1
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            record = JournalRecord(seq=raw["seq"], written=raw["written"],
-                                   type=raw["type"], data=raw["data"])
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines) - 1 and not line.endswith("\n"):
-                return
-            raise JournalError(f"{path}:{lineno + 1}: malformed record") from exc
-        except (KeyError, TypeError) as exc:
-            raise JournalError(f"{path}:{lineno + 1}: incomplete record") from exc
-        if record.seq != expected:
-            raise JournalError(f"{path}:{lineno + 1}: seq {record.seq}, "
-                               f"expected {expected}")
-        expected += 1
-        yield record
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+                record = JournalRecord(seq=raw["seq"], written=raw["written"],
+                                       type=raw["type"], data=raw["data"])
+            except json.JSONDecodeError as exc:
+                # only the last line can lack its newline: a torn tail
+                if not line.endswith("\n"):
+                    return
+                raise JournalError(f"{path}:{lineno}: malformed record") from exc
+            except (KeyError, TypeError) as exc:
+                raise JournalError(f"{path}:{lineno}: incomplete record") from exc
+            if record.seq != expected:
+                raise JournalError(f"{path}:{lineno}: seq {record.seq}, "
+                                   f"expected {expected}")
+            expected += 1
+            yield record
 
 
 created_of = attrgetter("created")
@@ -344,8 +373,19 @@ class ReplayState:
 
 
 def replay(path: str) -> ReplayState:
-    """Rebuild state by applying every record of a journal in order."""
+    """Rebuild state by applying every record of a journal in order.
+
+    A record whose data cannot be decoded (a missing key, an unknown enum
+    value, a field of the wrong shape) raises JournalError naming its seq.
+    """
     state = ReplayState()
     for record in read_records(path):
-        state.apply(record)
+        try:
+            state.apply(record)
+        except KeyError as exc:
+            raise JournalError(f"{path}: seq {record.seq}: bad {record.type} "
+                               f"record: missing key {exc}") from exc
+        except (AttributeError, JournalError, TypeError, ValueError) as exc:
+            raise JournalError(f"{path}: seq {record.seq}: bad {record.type} "
+                               f"record: {exc}") from exc
     return state

@@ -98,7 +98,6 @@ class User:
 
     id: str
     nicks: frozenset[str]
-    emails: frozenset[str] = frozenset()
 
 
 def users_from_nicks(nicks: Iterable[str]) -> dict[str, User]:

@@ -4,18 +4,24 @@ The vocabulary declares users, shouts, sessions, and reviews. Every
 property is functional except nick and email; shouts must carry a user,
 a message, and a creation time, and users must carry a nick. Those two
 constraint families are what validate_graph checks.
+
+Every term carries its N-Triples form, rendered once when the term is
+built. Validation and both serializers group, sort and compare those
+strings; a term's form is unique to it, so equal strings mean equal terms.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 from urllib.parse import quote
 
 from . import journal as jn
+from .errors import JournalError
 from .model import Session, Shout, ValidationReview, iso8601, users_from_shouts
 
 DEFAULT_BASE = "http://aa.example.org/"
@@ -33,41 +39,42 @@ SIOC_NS = "http://rdfs.org/sioc/ns#"
 @dataclass(frozen=True)
 class Iri:
     value: str
+    nt: str = field(init=False, compare=False, repr=False)  # N-Triples form
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nt", f"<{self.value}>")
 
     def render(self) -> str:
-        return f"<{self.value}>"
+        return self.nt
 
 
 @dataclass(frozen=True)
 class Blank:
     label: str
+    nt: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nt", f"_:{self.label}")
 
     def render(self) -> str:
-        return f"_:{self.label}"
+        return self.nt
 
 
 XSD_STRING = Iri(XSD_NS + "string")
 XSD_DATETIME = Iri(XSD_NS + "dateTime")
 
+# backslash, quote, CR, LF and tab take their short escapes, the other C0
+# controls \uXXXX; everything else, U+007F included, stays as it is
+_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                 ord("\r"): "\\r", ord("\t"): "\\t"})
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
 
 def _escape(lexical: str) -> str:
-    out = []
-    for ch in lexical:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(lexical) is None:
+        return lexical
+    return lexical.translate(_ESCAPES)
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,16 @@ class Literal:
 
     lexical: str
     datatype: Iri = XSD_STRING
+    nt: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rendered = f'"{_escape(self.lexical)}"'
+        if self.datatype.nt != XSD_STRING.nt:
+            rendered += f"^^{self.datatype.nt}"
+        object.__setattr__(self, "nt", rendered)
 
     def render(self) -> str:
-        rendered = f'"{_escape(self.lexical)}"'
-        if self.datatype != XSD_STRING:
-            rendered += f"^^{self.datatype.render()}"
-        return rendered
+        return self.nt
 
 
 Term = Iri | Blank | Literal
@@ -94,8 +105,7 @@ class Triple:
     object: Term
 
     def render(self) -> str:
-        return (f"{self.subject.render()} {self.predicate.render()} "
-                f"{self.object.render()} .")
+        return f"{self.subject.nt} {self.predicate.nt} {self.object.nt} ."
 
 
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -115,11 +125,15 @@ OWL_ON_PROPERTY = Iri(OWL_NS + "onProperty")
 OWL_SOME_VALUES = Iri(OWL_NS + "someValuesFrom")
 
 
+# characters quote() leaves as they are
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")
+
+
 class Vocabulary:
     """Term mint for a configurable base IRI.
 
-    Vocabulary terms live under ``<base>ns#``; instances under
-    ``<base><kind>/<id>``.
+    Vocabulary terms live under ``<base>ns#``, one shared Iri per name;
+    instances under ``<base><kind>/<id>``, the id percent-encoded.
     """
 
     CLASSES = ("User", "Shout", "Session", "ValidationReview")
@@ -143,12 +157,18 @@ class Vocabulary:
     def __init__(self, base: str = DEFAULT_BASE):
         self.base = base if base.endswith(("/", "#")) else base + "/"
         self.ns = self.base + "ns#"
+        self._terms: dict[str, Iri] = {}
 
     def term(self, name: str) -> Iri:
-        return Iri(self.ns + name)
+        term = self._terms.get(name)
+        if term is None:
+            term = self._terms[name] = Iri(self.ns + name)
+        return term
 
     def instance(self, kind: str, identifier: str) -> Iri:
-        return Iri(f"{self.base}{kind}/{quote(identifier, safe='')}")
+        if _UNRESERVED.fullmatch(identifier) is None:
+            identifier = quote(identifier, safe="")
+        return Iri(f"{self.base}{kind}/{identifier}")
 
     def functional_properties(self) -> set[Iri]:
         names = set(self.OBJECT_PROPS) | set(self.DATA_PROPS)
@@ -224,55 +244,55 @@ def export_data(shouts: Sequence[Shout], sessions: Iterable[Session] = (),
                 vocab: Vocabulary | None = None) -> list[Triple]:
     """Instance triples for a store snapshot; IRIs are minted from record ids."""
     vocab = vocab or Vocabulary()
+    term = vocab.term
     triples: list[Triple] = []
+    add = triples.append
+    # user and session IRIs recur on every shout; mint each one once per export
+    minted: dict[tuple[str, str], Iri] = {}
+
+    def instance(kind: str, identifier: str) -> Iri:
+        iri = minted.get((kind, identifier))
+        if iri is None:
+            iri = minted[kind, identifier] = vocab.instance(kind, identifier)
+        return iri
 
     for user in users_from_shouts(shouts).values():
-        node = vocab.instance("user", user.id)
-        triples.append(Triple(node, RDF_TYPE, vocab.term("User")))
+        node = instance("user", user.id)
+        add(Triple(node, RDF_TYPE, term("User")))
         for nick in sorted(user.nicks):
-            triples.append(Triple(node, vocab.term("nick"), Literal(nick)))
-        for email in sorted(user.emails):
-            triples.append(Triple(node, vocab.term("email"), Literal(email)))
+            add(Triple(node, term("nick"), Literal(nick)))
 
     for shout in shouts:
         node = vocab.instance("shout", shout.id)
-        triples.append(Triple(node, RDF_TYPE, vocab.term("Shout")))
-        triples.append(Triple(node, vocab.term("user"),
-                              vocab.instance("user", shout.nick)))
-        triples.append(Triple(node, vocab.term("shoutMessage"),
-                              Literal(shout.message)))
-        triples.append(Triple(node, vocab.term("created"),
-                              Literal(iso8601(shout.created), XSD_DATETIME)))
+        add(Triple(node, RDF_TYPE, term("Shout")))
+        add(Triple(node, term("user"), instance("user", shout.nick)))
+        add(Triple(node, term("shoutMessage"), Literal(shout.message)))
+        add(Triple(node, term("created"),
+                   Literal(iso8601(shout.created), XSD_DATETIME)))
         if shout.session_ref:
-            triples.append(Triple(node, vocab.term("session"),
-                                  vocab.instance("session", shout.session_ref)))
+            add(Triple(node, term("session"), instance("session", shout.session_ref)))
         if shout.client_created is not None:
-            triples.append(Triple(node, vocab.term("clientCreated"),
-                                  Literal(iso8601(shout.client_created),
-                                          XSD_DATETIME)))
+            add(Triple(node, term("clientCreated"),
+                       Literal(iso8601(shout.client_created), XSD_DATETIME)))
 
     for session in sessions:
-        node = vocab.instance("session", session.id)
-        triples.append(Triple(node, RDF_TYPE, vocab.term("Session")))
-        triples.append(Triple(node, vocab.term("sessionStart"),
-                              Literal(iso8601(session.start), XSD_DATETIME)))
-        triples.append(Triple(node, vocab.term("sessionEnd"),
-                              Literal(iso8601(session.end), XSD_DATETIME)))
+        node = instance("session", session.id)
+        add(Triple(node, RDF_TYPE, term("Session")))
+        add(Triple(node, term("sessionStart"),
+                   Literal(iso8601(session.start), XSD_DATETIME)))
+        add(Triple(node, term("sessionEnd"),
+                   Literal(iso8601(session.end), XSD_DATETIME)))
         if session.screencast:
-            triples.append(Triple(node, vocab.term("screencast"),
-                                  Literal(session.screencast)))
+            add(Triple(node, term("screencast"), Literal(session.screencast)))
 
     for review in reviews:
         node = vocab.instance("review", review.session)
-        triples.append(Triple(node, RDF_TYPE, vocab.term("ValidationReview")))
-        triples.append(Triple(node, vocab.term("session"),
-                              vocab.instance("session", review.session)))
-        triples.append(Triple(node, vocab.term("reviewer"),
-                              vocab.instance("user", review.reviewer)))
-        triples.append(Triple(node, vocab.term("score"),
-                              Literal(f"{review.score:g}")))
-        triples.append(Triple(node, vocab.term("created"),
-                              Literal(iso8601(review.created), XSD_DATETIME)))
+        add(Triple(node, RDF_TYPE, term("ValidationReview")))
+        add(Triple(node, term("session"), instance("session", review.session)))
+        add(Triple(node, term("reviewer"), instance("user", review.reviewer)))
+        add(Triple(node, term("score"), Literal(f"{review.score:g}")))
+        add(Triple(node, term("created"),
+                   Literal(iso8601(review.created), XSD_DATETIME)))
     return triples
 
 
@@ -287,6 +307,21 @@ class Violation:
                 "rule": self.rule}
 
 
+def _group(triples: Iterable[Triple]) -> dict[str, dict[str, set[str]]]:
+    """Subject -> predicate -> objects, each term by its N-Triples form."""
+    grouped: dict[str, dict[str, set[str]]] = {}
+    for triple in triples:
+        predicates = grouped.get(triple.subject.nt)
+        if predicates is None:
+            predicates = grouped[triple.subject.nt] = {}
+        objects = predicates.get(triple.predicate.nt)
+        if objects is None:
+            predicates[triple.predicate.nt] = {triple.object.nt}
+        else:
+            objects.add(triple.object.nt)
+    return grouped
+
+
 def validate_graph(triples: Iterable[Triple],
                    vocab: Vocabulary | None = None) -> list[Violation]:
     """Check functional and mandatory-property constraints over a graph.
@@ -295,29 +330,25 @@ def validate_graph(triples: Iterable[Triple],
     (subject, property) pair.
     """
     vocab = vocab or Vocabulary()
-    functional = vocab.functional_properties()
-    values: dict[tuple, set] = {}
-    types: dict = {}
-    for triple in triples:
-        values.setdefault((triple.subject, triple.predicate), set()).add(triple.object)
-        if triple.predicate == RDF_TYPE:
-            types.setdefault(triple.subject, set()).add(triple.object)
-
-    violations = []
-    for (subject, predicate), objects in sorted(
-            values.items(), key=lambda kv: (kv[0][0].render(), kv[0][1].render())):
-        if predicate in functional and len(objects) > 1:
-            violations.append(Violation(subject.render(), predicate.render(),
-                                        "functional"))
-    for subject in sorted(types, key=lambda s: s.render()):
-        for class_name, props in vocab.EXISTENTIAL.items():
-            if vocab.term(class_name) not in types[subject]:
-                continue
-            for prop in props:
-                if (subject, vocab.term(prop)) not in values:
-                    violations.append(Violation(subject.render(),
-                                                vocab.term(prop).render(),
-                                                "existential"))
+    functional = {p.nt for p in vocab.functional_properties()}
+    values = _group(triples)
+    clashes = sorted((subject, predicate)
+                     for subject, predicates in values.items()
+                     for predicate, objects in predicates.items()
+                     if len(objects) > 1 and predicate in functional)
+    violations = [Violation(subject, predicate, "functional")
+                  for subject, predicate in clashes]
+    required = [(vocab.term(class_name).nt, [vocab.term(p).nt for p in props])
+                for class_name, props in vocab.EXISTENTIAL.items()]
+    for subject in sorted(values):
+        predicates = values[subject]
+        types = predicates.get(RDF_TYPE.nt)
+        if types is None:
+            continue
+        for class_nt, props in required:
+            if class_nt in types:
+                violations.extend(Violation(subject, prop, "existential")
+                                  for prop in props if prop not in predicates)
     return violations
 
 
@@ -327,13 +358,14 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _qname(iri: Iri, prefixes: dict[str, str]) -> str:
+def _qname(value: str, prefixes: dict[str, str]) -> str:
+    """The Turtle form of an IRI: a prefixed name where one fits."""
     for prefix, ns in prefixes.items():
-        if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
+        if value.startswith(ns):
+            local = value[len(ns):]
             if local and all(c.isalnum() or c in "_-" for c in local):
                 return f"{prefix}:{local}"
-    return iri.render()
+    return f"<{value}>"
 
 
 def serialize_turtle(triples: Iterable[Triple],
@@ -341,24 +373,24 @@ def serialize_turtle(triples: Iterable[Triple],
     """Deterministic Turtle: prefixed, grouped by subject."""
     vocab = vocab or Vocabulary()
     prefixes = vocab.prefixes()
+    qnames: dict[str, str] = {}
 
-    def term(t: Term) -> str:
-        if isinstance(t, Iri):
-            return _qname(t, prefixes)
-        return t.render()
+    def term(nt: str) -> str:
+        if nt[0] != "<":
+            return nt  # a blank node or a literal
+        name = qnames.get(nt)
+        if name is None:
+            name = qnames[nt] = _qname(nt[1:-1], prefixes)
+        return name
 
-    grouped: dict = {}
-    for triple in triples:
-        grouped.setdefault(triple.subject, {}).setdefault(
-            triple.predicate, set()).add(triple.object)
-
+    grouped = _group(triples)
     out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
     out.append("")
-    for subject in sorted(grouped, key=lambda s: s.render()):
+    for subject in sorted(grouped):
         preds = grouped[subject]
         lines = []
-        for predicate in sorted(preds, key=lambda p: p.render()):
-            rendered = "a" if predicate == RDF_TYPE else term(predicate)
+        for predicate in sorted(preds):
+            rendered = "a" if predicate == RDF_TYPE.nt else term(predicate)
             objects = ", ".join(sorted(term(o) for o in preds[predicate]))
             lines.append(f"    {rendered} {objects}")
         out.append(term(subject) + "\n" + " ;\n".join(lines) + " .")
@@ -391,8 +423,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     vocab = Vocabulary(args.base)
-    triples = export_journal(args.journal, args.base,
-                             include_ontology=not args.data_only)
+    try:
+        triples = export_journal(args.journal, args.base,
+                                 include_ontology=not args.data_only)
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "ntriples":
         document = serialize_ntriples(triples)
     else:

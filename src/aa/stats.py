@@ -15,9 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import journal as jn
+from .errors import JournalError
 from .model import MessageKind, Session, Shout, ValidationReview
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*", re.UNICODE)
@@ -228,16 +230,14 @@ def cooccurrence(shouts: Sequence[Shout],
     self-loops exist; single-token shouts still contribute their node.
     """
     nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
+    edges: Counter = Counter()
     for shout in shouts:
         if not include_machine and shout.kind is MessageKind.LOST_TIMESLOT:
             continue
         distinct = sorted(set(tokenize(shout.message, stopwords)))
         nodes.update(distinct)
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1:]:
-                edges[(a, b)] = edges.get((a, b), 0) + 1
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges)
+        edges.update(combinations(distinct, 2))
+    return CooccurrenceGraph(nodes=frozenset(nodes), edges=dict(edges))
 
 
 # -- command line --------------------------------------------------------
@@ -250,9 +250,8 @@ def _load_stopwords(path: str | None) -> frozenset[str]:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
-def _edge_lines(graph: CooccurrenceGraph) -> list[str]:
-    return [f"{a}\t{b}\t{weight}"
-            for (a, b), weight in sorted(graph.edges.items())]
+def _write_json(payload, **options) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2, **options) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -269,22 +268,26 @@ def main(argv: list[str] | None = None) -> int:
     fmt.add_argument("--tsv", action="store_true")
     args = parser.parse_args(argv)
 
-    state = jn.replay(args.journal)
+    try:
+        state = jn.replay(args.journal)
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     shouts = state.shouts
     stopwords = _load_stopwords(args.stopwords)
 
     if args.report == "summary":
         stats = summarize(shouts, state.sessions.values(), state.reviews.values())
         if args.tsv:
+            lines = []
             for key, value in stats.to_dict().items():
                 if isinstance(value, dict):
-                    for k, v in value.items():
-                        sys.stdout.write(f"{key}.{k}\t{v}\n")
+                    lines += [f"{key}.{k}\t{v}\n" for k, v in value.items()]
                 else:
-                    sys.stdout.write(f"{key}\t{value}\n")
+                    lines.append(f"{key}\t{value}\n")
+            sys.stdout.write("".join(lines))
         else:
-            json.dump(stats.to_dict(), sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            _write_json(stats.to_dict(), sort_keys=True)
         return 0
 
     if args.report.startswith("histogram:"):
@@ -295,41 +298,35 @@ def main(argv: list[str] | None = None) -> int:
                          f"{', '.join(s.value for s in Scale)}")
         hist = histogram(shouts, scale)
         if args.json:
-            json.dump({"scale": scale.value, "bins": list(hist.bins)},
-                      sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_json({"scale": scale.value, "bins": list(hist.bins)})
         else:
-            for label, count in hist.bins:
-                sys.stdout.write(f"{label}\t{count}\n")
+            sys.stdout.write("".join(f"{label}\t{count}\n"
+                                     for label, count in hist.bins))
         return 0
 
     if args.report == "tokens":
         table = token_table(shouts, stopwords=stopwords,
                             include_machine=args.include_machine)
         if args.tsv:
-            for token, count in sorted(table.tokens.items(),
-                                       key=lambda kv: (-kv[1], kv[0])):
-                sys.stdout.write(f"{token}\t{count}\n")
+            ranked = sorted(table.tokens.items(), key=lambda kv: (-kv[1], kv[0]))
+            sys.stdout.write("".join(f"{token}\t{count}\n" for token, count in ranked))
         else:
-            json.dump({"tokens": table.tokens, "radicals": table.radicals,
-                       "vocabulary_size": table.vocabulary_size,
-                       "token_count": table.token_count},
-                      sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            _write_json({"tokens": table.tokens, "radicals": table.radicals,
+                         "vocabulary_size": table.vocabulary_size,
+                         "token_count": table.token_count}, sort_keys=True)
         return 0
 
     if args.report == "graph":
         graph = cooccurrence(shouts, stopwords=stopwords,
                              include_machine=args.include_machine)
+        # the keys are unique, so sorting them alone gives the order of the items
+        edges = [(a, b, graph.edges[a, b]) for a, b in sorted(graph.edges)]
         if args.json:
-            json.dump({"edges": [[a, b, w] for (a, b), w in sorted(graph.edges.items())],
-                       "nodes": sorted(graph.nodes),
-                       "components": graph.component_count()},
-                      sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_json({"edges": [list(edge) for edge in edges],
+                         "nodes": sorted(graph.nodes),
+                         "components": graph.component_count()})
         else:
-            for line in _edge_lines(graph):
-                sys.stdout.write(line + "\n")
+            sys.stdout.write("".join(f"{a}\t{b}\t{w}\n" for a, b, w in edges))
         return 0
 
     parser.error(f"unknown report {args.report!r}")

@@ -27,9 +27,13 @@ from aa.errors import (
 )
 from aa.miner import import_shouts
 from aa.model import (
+    DeviationKind,
     MessageKind,
     Shout,
     Source,
+    Tag,
+    TagForm,
+    TagScope,
     ValidationReview,
     iso8601,
     users_from_shouts,
@@ -62,6 +66,13 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         path.write_text('not json\n{"seq": 1}\n')
         with pytest.raises(JournalError):
+            list(jn.read_records(str(path)))
+
+    def test_malformed_last_line_with_newline_raises(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"seq": 1, "written": 1, "type": "shout", "data": {}}\n'
+                        '{"seq": 2, "writ\n')
+        with pytest.raises(JournalError, match=":2: malformed record"):
             list(jn.read_records(str(path)))
 
     def test_torn_tail_cut_is_logged(self, tmp_path, caplog):
@@ -719,6 +730,53 @@ class TestListingCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * 30
+
+
+TAGS = st.builds(Tag, st.sampled_from(TagForm), st.text(max_size=8),
+                 st.sampled_from(TagScope))
+SHOUTS = st.builds(
+    Shout, id=st.text(min_size=1, max_size=8), nick=st.text(max_size=8),
+    message=st.text(max_size=20), created=st.integers(0, 2**40),
+    source=st.sampled_from(Source), kind=st.sampled_from(MessageKind),
+    tags=st.lists(TAGS, max_size=3).map(tuple),
+    session_ref=st.one_of(st.none(), st.text(min_size=1, max_size=8)),
+    deviation=st.one_of(st.none(), st.sampled_from(DeviationKind)),
+    client_created=st.one_of(st.none(), st.integers(0, 2**40)),
+    topic=st.one_of(st.none(), st.text(max_size=8)))
+
+
+class TestShoutCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(SHOUTS)
+    def test_round_trip_through_json(self, shout):
+        data = json.loads(json.dumps(jn.shout_to_dict(shout)))
+        assert jn.shout_from_dict(data) == shout
+
+    def test_every_enum_value_decodes(self):
+        for source in Source:
+            for kind in MessageKind:
+                for deviation in (None, *DeviationKind):
+                    tags = tuple(Tag(form, "t", scope)
+                                 for form in TagForm for scope in TagScope)
+                    shout = Shout("i", "n", "m", 1, source=source, kind=kind,
+                                  tags=tags, deviation=deviation)
+                    assert jn.shout_from_dict(jn.shout_to_dict(shout)) == shout
+
+    def test_decoded_values_are_the_enum_members(self):
+        shout = jn.shout_from_dict({"id": "i", "nick": "n", "message": "m",
+                                    "created": 1, "source": "chat", "kind": "push",
+                                    "deviation": "intro_test",
+                                    "tags": [{"form": "plus", "name": "x",
+                                              "scope": "session"}]})
+        assert shout.source is Source.CHAT and shout.kind is MessageKind.PUSH
+        assert shout.deviation is DeviationKind.INTRO_TEST
+        assert shout.tags[0].form is TagForm.PLUS
+        assert shout.tags[0].scope is TagScope.SESSION
+
+    def test_optional_fields_default(self):
+        shout = jn.shout_from_dict({"id": "i", "nick": "n", "message": "m",
+                                    "created": 1})
+        assert shout == Shout("i", "n", "m", 1)
 
 
 class TestReplayEquivalence:
