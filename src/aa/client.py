@@ -17,7 +17,9 @@ from pathlib import Path
 from urllib import error, request
 from urllib.parse import urlencode
 
-from .config import parse_kv
+from .config import load_settings
+from .model import DEFAULT_SLOT, DEFAULT_TOLERANCE
+from .sessions import SlotGrid
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,14 +45,17 @@ class RequestFailed(Exception):
 class ClientConfig:
     server: str = DEFAULT_SERVER
     nick: str = "anon"
-    slot: float = 900.0
-    tolerance: float = 300.0
+    slot: float = DEFAULT_SLOT
+    tolerance: float = DEFAULT_TOLERANCE
     spool: str = str(Path.home() / ".config" / "aa" / "spool.jsonl")
     timeout: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.slot <= 0 or not 0 <= self.tolerance < self.slot / 2:
-            raise ValueError("need slot > 0 and 0 <= tolerance < slot/2")
+        SlotGrid(0, self.slot, self.tolerance)
+
+
+# timeout is set by code only, never by a file or the environment
+SETTABLE_KEYS = ("server", "nick", "slot", "tolerance", "spool")
 
 
 def default_config_path() -> str:
@@ -59,25 +64,10 @@ def default_config_path() -> str:
 
 def load_client_config(path: str | None = None,
                        env: dict[str, str] | None = None) -> ClientConfig:
-    """Config file, then AA_* environment, lowest to highest precedence."""
-    env = os.environ if env is None else env
-    values: dict[str, str] = {}
-    config_path = path or default_config_path()
-    if os.path.exists(config_path):
-        with open(config_path, encoding="utf-8") as fh:
-            values.update(parse_kv(fh.read()))
-    for key in ("server", "nick", "slot", "tolerance", "spool"):
-        env_key = "AA_" + key.upper()
-        if env_key in env:
-            values[key] = env[env_key]
-    kwargs: dict = {}
-    for key in ("server", "nick", "spool"):
-        if key in values:
-            kwargs[key] = values[key]
-    for key in ("slot", "tolerance"):
-        if key in values:
-            kwargs[key] = float(values[key])
-    return ClientConfig(**kwargs)
+    """Config file (if it exists), then AA_* environment, as load_config does."""
+    path = path or default_config_path()
+    return load_settings(ClientConfig, path if os.path.exists(path) else None,
+                         env, keys=SETTABLE_KEYS)
 
 
 # -- transport -------------------------------------------------------------
@@ -343,12 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     p_report.add_argument("-n", type=int, default=20)
 
     args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key)
-                 for key in ("server", "nick", "slot", "tolerance", "spool")
+    overrides = {key: getattr(args, key) for key in SETTABLE_KEYS
                  if getattr(args, key) is not None}
     try:
         config = replace(load_client_config(args.config), **overrides)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad client config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

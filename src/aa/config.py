@@ -1,13 +1,18 @@
-"""Suite configuration: key=value files with AA_-prefixed env overrides."""
+"""Settings for every tool: key=value files with AA_-prefixed env overrides."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import TypeVar
 
+from .model import DEFAULT_SLOT, DEFAULT_TOLERANCE
 from .parsing import ParserConfig
+from .sessions import SlotGrid
 
 ENV_PREFIX = "AA_"
+
+T = TypeVar("T")
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -24,63 +29,58 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _csv_set(value: str) -> frozenset[str]:
+def csv_set(value: str) -> frozenset[str]:
+    """A comma-separated list as a set of lowercase, non-empty entries."""
     return frozenset(part.strip().lower() for part in value.split(",") if part.strip())
 
 
-@dataclass
-class SuiteConfig:
-    """Server-side settings shared by the suite's tools."""
+# how a setting's text is read, by its field's annotation
+_READERS = {"int": int, "float": float, "str": str, "frozenset[str]": csv_set}
+
+
+def load_settings(cls: type[T], path: str | None, env: dict[str, str] | None,
+                  keys: tuple[str, ...] | None = None) -> T:
+    """Build ``cls`` from its defaults, then a key=value file, then AA_<KEY> variables.
+
+    ``keys`` names the settable fields (default: all of them). A file key
+    that names no setting is an error; such an AA_ variable is ignored.
+    """
+    readers = {f.name: _READERS[f.type] for f in fields(cls)
+               if keys is None or f.name in keys}
+    values: dict[str, str] = {}
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            values = parse_kv(fh.read())
+        for key in values:
+            if key not in readers:
+                raise ValueError(f"unknown config key {key!r}")
+    env = os.environ if env is None else env
+    for name, value in env.items():
+        key = name[len(ENV_PREFIX):].lower()
+        if name.startswith(ENV_PREFIX) and key in readers:
+            values[key] = value
+    return cls(**{key: readers[key](value) for key, value in values.items()})
+
+
+@dataclass(frozen=True)
+class SuiteConfig(ParserConfig):
+    """Server-side settings: the parser vocabulary plus where and how to serve."""
 
     port: int = 8484
     host: str = "127.0.0.1"
     journal: str = "aa-journal.jsonl"
-    slot: int = 900
-    tolerance: int = 300
-    ubiquitous_tags: frozenset[str] = frozenset({"aao0"})
-    word_lexicon: frozenset[str] = frozenset()
-    promo_keywords: frozenset[str] = frozenset()
-    intro_lexicon: frozenset[str] = frozenset({"test", "teste", "hello", "oi"})
-    min_content_words: int = 3
+    slot: int = DEFAULT_SLOT
+    tolerance: int = DEFAULT_TOLERANCE
 
-    _INT_KEYS = ("port", "slot", "tolerance", "min_content_words")
-    _SET_KEYS = ("ubiquitous_tags", "word_lexicon", "promo_keywords", "intro_lexicon")
-
-    def apply(self, values: dict[str, str]) -> None:
-        known = {f.name for f in fields(self) if not f.name.startswith("_")}
-        for key, value in values.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in self._INT_KEYS:
-                setattr(self, key, int(value))
-            elif key in self._SET_KEYS:
-                setattr(self, key, _csv_set(value))
-            else:
-                setattr(self, key, value)
+    def __post_init__(self) -> None:
+        SlotGrid(0, self.slot, self.tolerance)
 
     def parser_config(self) -> ParserConfig:
-        return ParserConfig(
-            ubiquitous_tags=self.ubiquitous_tags,
-            word_lexicon=self.word_lexicon,
-            promo_keywords=self.promo_keywords,
-            intro_lexicon=self.intro_lexicon,
-            min_content_words=self.min_content_words,
-        )
+        return ParserConfig(**{f.name: getattr(self, f.name)
+                               for f in fields(ParserConfig)})
 
 
 def load_config(path: str | None = None,
                 env: dict[str, str] | None = None) -> SuiteConfig:
     """Config from an optional file, then AA_* environment overrides."""
-    config = SuiteConfig()
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            config.apply(parse_kv(fh.read()))
-    env = os.environ if env is None else env
-    overrides = {
-        key[len(ENV_PREFIX):].lower(): value
-        for key, value in env.items()
-        if key.startswith(ENV_PREFIX)
-    }
-    known = {f.name for f in fields(SuiteConfig) if not f.name.startswith("_")}
-    config.apply({k: v for k, v in overrides.items() if k in known})
-    return config
+    return load_settings(SuiteConfig, path, env)

@@ -10,7 +10,7 @@ import fcntl
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .errors import JournalError
 from .model import (
+    DEFAULT_SLOT,
     DeviationKind,
     MessageKind,
     Session,
@@ -134,7 +135,7 @@ def session_from_dict(data: dict) -> Session:
         origin=SessionOrigin(data.get("origin", "explicit")),
         start=data["start"],
         end=data["end"],
-        slot_duration=data.get("slot", 900),
+        slot_duration=data.get("slot", DEFAULT_SLOT),
         shouts=tuple(data.get("shouts", ())),
         screencast=data.get("screencast"),
     )
@@ -365,11 +366,6 @@ class ReplayState:
             self.reviews[review.session] = review
         else:
             raise JournalError(f"unknown record type {record.type!r}")
-
-    def session_with_members(self, session_id: str) -> Session:
-        """The stored session with its replayed member list attached."""
-        return replace(self.sessions[session_id],
-                       shouts=tuple(self.members.get(session_id, ())))
 
 
 def replay(path: str) -> ReplayState:

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import journal as jn
-from .config import parse_kv
+from .config import csv_set, parse_kv
 from .errors import BadPattern, JournalError, UnreadableSource
 from .model import Shout, Source, normalize_nick
 from .parsing import DEFAULT_CONFIG, ParseResult, ParserConfig, flag_deviation, parse
@@ -376,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated ubiquitous tag names for tags mode")
     args = parser.parse_args(argv)
 
-    tags = frozenset(t.strip().lower() for t in args.tags.split(",") if t.strip())
-    parser_config = replace(DEFAULT_CONFIG, ubiquitous_tags=tags)
+    parser_config = replace(DEFAULT_CONFIG, ubiquitous_tags=csv_set(args.tags))
     try:
         specs = [load_source_spec(p) for p in args.source]
         report = mine(specs, args.mode, args.corpus, key=args.key,

@@ -14,6 +14,10 @@ from typing import Iterable
 
 from .errors import EmptyNick
 
+# the slot grid: slot length and prompt tolerance, in seconds
+DEFAULT_SLOT = 900
+DEFAULT_TOLERANCE = 300
+
 
 class MessageKind(str, enum.Enum):
     """Classification of a raw message, dictated by its first word."""
@@ -133,7 +137,7 @@ class Session:
     origin: SessionOrigin
     start: int
     end: int
-    slot_duration: int = 900
+    slot_duration: int = DEFAULT_SLOT
     shouts: tuple[str, ...] = ()
     screencast: str | None = None
 

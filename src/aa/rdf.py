@@ -403,8 +403,8 @@ def export_journal(journal_path: str, base: str = DEFAULT_BASE,
     vocab = Vocabulary(base)
     state = jn.replay(journal_path)
     triples = export_ontology(vocab) if include_ontology else []
-    sessions = [state.session_with_members(sid) for sid in sorted(state.sessions)]
-    triples += export_data(state.shouts, sessions, state.reviews.values(), vocab=vocab)
+    triples += export_data(state.shouts, state.sessions.values(),
+                           state.reviews.values(), vocab=vocab)
     return triples
 
 

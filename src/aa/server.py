@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import sys
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .config import SuiteConfig, load_config
 from .errors import AAError
-from .model import Source, parse_iso8601
+from .model import Source
 from .store import Store
 
 log = logging.getLogger("aa.server")
@@ -118,15 +120,12 @@ class ShoutHandler(BaseHTTPRequestHandler):
         self._send_error_code("not_found", f"no route {method} {path}", 404)
 
     def _handle_shout(self, params: dict) -> None:
-        client_created = params.get("client_created")
-        if isinstance(client_created, str):
-            client_created = parse_iso8601(client_created)
         source = Source(params.get("source", "http"))
         if source is Source.MINED:
             raise ValueError("mined records enter through the journal, not HTTP")
         shout = self.store.receive_shout(
             params.get("nick", ""), params.get("msg", ""),
-            source=source, client_created=client_created)
+            source=source, client_created=params.get("client_created"))
         self._send_json({"id": shout.id, "created": shout.created,
                          "kind": shout.kind.value})
 
@@ -194,13 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--journal", help="journal file path")
     args = parser.parse_args(argv)
 
-    config = load_config(args.config)
-    if args.host:
-        config.host = args.host
-    if args.port is not None:
-        config.port = args.port
-    if args.journal:
-        config.journal = args.journal
+    overrides = {key: getattr(args, key) for key in ("host", "port", "journal")
+                 if getattr(args, key) not in (None, "")}
+    try:
+        config = replace(load_config(args.config), **overrides)
+    except (OSError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 2
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
     store = store_from_config(config)

@@ -16,6 +16,8 @@ from .errors import (
     SelfReview,
 )
 from .model import (
+    DEFAULT_SLOT,
+    DEFAULT_TOLERANCE,
     MessageKind,
     Session,
     Shout,
@@ -24,8 +26,6 @@ from .model import (
     ValidationReview,
 )
 
-DEFAULT_SLOT = 900
-DEFAULT_TOLERANCE = 300
 IDEAL_SHOUT_COUNT = 8
 IDEAL_MAX_SPAN = 7200
 
@@ -44,10 +44,8 @@ class SlotGrid:
     tolerance: int = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        if self.slot <= 0:
-            raise ValueError("slot duration must be positive")
-        if not 0 <= self.tolerance < self.slot / 2:
-            raise ValueError("tolerance must satisfy 0 <= tolerance < slot/2")
+        if self.slot <= 0 or not 0 <= self.tolerance < self.slot / 2:
+            raise ValueError("need slot > 0 and 0 <= tolerance < slot/2")
 
 
 @dataclass(frozen=True)

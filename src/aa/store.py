@@ -72,7 +72,8 @@ class Store:
                  slot: int = eng.DEFAULT_SLOT,
                  tolerance: int = eng.DEFAULT_TOLERANCE,
                  parser_config: parsing.ParserConfig = parsing.DEFAULT_CONFIG):
-        self._lock = threading.RLock()
+        # not re-entrant: each public method takes it once
+        self._lock = threading.Lock()
         self._clock = clock
         self.slot = slot
         self.tolerance = tolerance
@@ -107,8 +108,11 @@ class Store:
     # -- ingest ----------------------------------------------------------
 
     def _build_shout(self, nick: str, message: str, *, source: Source,
-                     created: int, client_created: int | None = None,
+                     created: int, client_created: int | str | None = None,
                      session_ref: str | None = None) -> Shout:
+        """One parsed shout; an ISO 8601 ``client_created`` becomes epoch seconds."""
+        if isinstance(client_created, str):
+            client_created = parse_iso8601(client_created)  # raises ValueError
         handle = normalize_nick(nick)
         text = _normalize_message(message)
         parsed = parsing.parse(text, self.parser_config)  # raises EmptyMessage
@@ -129,7 +133,7 @@ class Store:
 
     def receive_shout(self, nick: str, message: str, *,
                       source: Source = Source.HTTP,
-                      client_created: int | None = None) -> Shout:
+                      client_created: int | str | None = None) -> Shout:
         """Stamp, parse, journal, and store one message as a shout record."""
         with self._lock:
             created = self._arrival()
@@ -173,7 +177,8 @@ class Store:
                 pass  # already marked while the session was open
         validator = None
         try:
-            validator = eng.assign_validator(session, self.users().values(),
+            users = users_from_nicks(self.state.by_nick).values()
+            validator = eng.assign_validator(session, users,
                                              seed=self.journal.next_seq).id
         except NoEligibleValidator:
             pass
@@ -190,11 +195,7 @@ class Store:
             now = self._arrival()
             written = self._now()
 
-            if kind is MessageKind.SHOUT:
-                shout = self.receive_shout(handle, text)
-                return {"result": "shout", "id": shout.id}
-
-            # the control shout is journaled with the records it brings
+            # the message itself is journaled as a shout, with the records it brings
             session_ref = self.state.open_sessions.get(handle)
             before: list[tuple[str, dict]] = []
             after: list[tuple[str, dict]] = []
@@ -218,18 +219,18 @@ class Store:
             elif kind is MessageKind.PUSH:
                 flushed = []
                 for item in batch or ():
-                    client_created = item.get("client_created")
-                    if isinstance(client_created, str):
-                        client_created = parse_iso8601(client_created)
                     flushed.append(self._build_shout(
                         handle, item["message"], source=Source.HTTP, created=now,
-                        client_created=client_created, session_ref=session_ref))
+                        client_created=item.get("client_created"),
+                        session_ref=session_ref))
                 before = [(jn.SHOUT, jn.shout_to_dict(s)) for s in flushed]
                 result = {"result": "push", "accepted": len(flushed),
                           "ids": [s.id for s in flushed]}
             control = self._build_shout(handle, text, source=Source.HTTP,
                                         created=now, session_ref=session_ref)
-            if kind is MessageKind.QUERY:
+            if kind is MessageKind.SHOUT:
+                result = {"result": "shout", "id": control.id}
+            elif kind is MessageKind.QUERY:
                 result = {"result": "query", "topic": control.topic, "items": [],
                           "code": "no_backend"}
             self._commit(before + [(jn.SHOUT, jn.shout_to_dict(control))] + after,
@@ -240,7 +241,7 @@ class Store:
         """Mark one past slot of a session as lost; duplicates are rejected."""
         with self._lock:
             session = self._session(session_id)
-            if session_id in self.state.open_sessions.values():
+            if self.state.open_sessions.get(session.user) == session_id:
                 session = replace(session, end=max(session.start, self._arrival()))
             marker = eng.emit_lost_timeslot(session, self._member_shouts(session_id),
                                             slot_index, tolerance=self.tolerance)
@@ -330,7 +331,7 @@ class Store:
             "slot": session.slot_duration,
             "shouts": list(self.state.members.get(session_id, ())),
             "screencast": session.screencast,
-            "open": session_id in self.state.open_sessions.values(),
+            "open": self.state.open_sessions.get(session.user) == session_id,
             "report": self.state.reports.get(session_id),
             "validator": self.state.validators.get(session_id),
         }

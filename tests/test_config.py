@@ -1,5 +1,6 @@
 import pytest
 
+from aa.client import load_client_config
 from aa.config import load_config, parse_kv
 
 
@@ -34,7 +35,7 @@ def test_file_values(tmp_path):
 
 def test_env_overrides_file(tmp_path):
     path = tmp_path / "aa.conf"
-    path.write_text("port = 9999\nslot = 600\n")
+    path.write_text("port = 9999\nslot = 600\ntolerance = 120\n")
     # AA_GAP names no config key: ignored, not an error
     config = load_config(str(path), env={"AA_PORT": "7777", "AA_GAP": "60"})
     assert config.port == 7777
@@ -52,3 +53,29 @@ def test_parser_config_projection():
     config = load_config(env={"AA_WORD_LEXICON": "coding,reading"})
     parser_config = config.parser_config()
     assert parser_config.word_lexicon == frozenset({"coding", "reading"})
+
+
+@pytest.mark.parametrize("load", [load_config, load_client_config])
+def test_invalid_grid_refused_on_load(tmp_path, load):
+    path = tmp_path / "aa.conf"
+    path.write_text("slot = 900\ntolerance = 500\n")
+    with pytest.raises(ValueError, match="need slot > 0"):
+        load(str(path), env={})
+    empty = tmp_path / "empty.conf"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="need slot > 0"):
+        load(str(empty), env={"AA_TOLERANCE": "450"})
+
+
+def test_client_unknown_key_rejected(tmp_path):
+    path = tmp_path / "client.conf"
+    path.write_text("nick = bob\ntimeout = 5\n")  # timeout is not settable
+    with pytest.raises(ValueError, match="unknown config key 'timeout'"):
+        load_client_config(str(path), env={})
+
+
+def test_client_env_ignores_unknown_names(tmp_path):
+    config = load_client_config(str(tmp_path / "missing.conf"),
+                                env={"AA_NICK": "eve", "AA_TIMEOUT": "1", "AA_GAP": "9"})
+    assert config.nick == "eve"
+    assert config.timeout == 10.0

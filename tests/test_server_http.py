@@ -40,6 +40,23 @@ class TestShoutEndpoint:
                               params={"nick": "bob", "msg": "same"})
         assert first["id"] != second["id"]
 
+    def test_iso_client_created_stored_as_epoch_seconds(self, live_server):
+        for value in ("2023-11-14T22:13:20Z", 1700000000):
+            status, _ = post_json(live_server.url + "/shout",
+                                  body={"nick": "bob", "msg": "note",
+                                        "client_created": value})
+            assert status == 200
+        stored = [s.client_created for s in live_server.store.list_shouts()]
+        assert stored == [1700000000, 1700000000]
+
+    def test_bad_client_created_is_client_error(self, live_server):
+        status, result = post_json(live_server.url + "/shout",
+                                   body={"nick": "bob", "msg": "note",
+                                         "client_created": "yesterday"})
+        assert status == 400
+        assert result["error"] == "bad_request"
+        assert live_server.store.list_shouts() == []
+
 
 class TestShoutsListing:
     def test_empty_store_json(self, live_server):
@@ -121,6 +138,23 @@ class TestMessageEndpoint:
                   "batch": [{"message": "spooled", "client_created": 1000}]})
         assert status == 200
         assert result["accepted"] == 1
+
+    def test_push_iso_client_created_stored_as_epoch_seconds(self, live_server):
+        batch = [{"message": "offline a", "client_created": "2023-11-14T22:13:20Z"},
+                 {"message": "offline b", "client_created": 1700000000}]
+        status, result = post_json(live_server.url + "/message",
+                                   body={"nick": "bob", "msg": "push", "batch": batch})
+        assert status == 200 and result["accepted"] == 2
+        stored = {s.message: s.client_created for s in live_server.store.list_shouts()}
+        assert stored["offline a"] == stored["offline b"] == 1700000000
+
+    def test_push_bad_client_created_is_client_error(self, live_server):
+        batch = [{"message": "offline", "client_created": "yesterday"}]
+        status, result = post_json(live_server.url + "/message",
+                                   body={"nick": "bob", "msg": "push", "batch": batch})
+        assert status == 400
+        assert result["error"] == "bad_request"
+        assert live_server.store.list_shouts() == []
 
     def test_query_stub(self, live_server):
         status, result = post_json(live_server.url + "/message",
@@ -251,3 +285,23 @@ class TestRequestBody:
         assert head.split()[1] == b"400"
         assert json.loads(body)["error"] == "bad_request"
         assert get_json(live_server.url + "/shouts", {"format": "json"}) == []
+
+
+class TestServerMain:
+    """aa-server refuses a bad config with one error line, before any journal exists."""
+
+    @pytest.mark.parametrize("text", [
+        "frobnicate = yes\n",
+        "port = eighty\n",
+        "slot = 900\ntolerance = 500\n",
+    ], ids=["unknown-key", "non-integer-port", "invalid-grid"])
+    def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, text):
+        from aa.server import main
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "aa.conf"
+        conf.write_text(f"journal = {tmp_path / 'j.jsonl'}\n" + text)
+        assert main(["--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aa.conf"]
