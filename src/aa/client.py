@@ -104,17 +104,14 @@ def _call(config: ClientConfig, method: str, path: str,
 
 def api_shout(config: ClientConfig, message: str, *, source: str = "http",
               client_created: int | None = None) -> dict:
-    params = {"nick": config.nick, "msg": message, "source": source}
-    if client_created is not None:
-        params["client_created"] = client_created
+    params = {"nick": config.nick, "msg": message, "source": source,
+              "client_created": client_created}
     return _call(config, "POST", "/shout", params=params)
 
 
 def api_message(config: ClientConfig, msg: str, batch: list | None = None,
                 nick: str | None = None) -> dict:
-    body = {"nick": nick or config.nick, "msg": msg}
-    if batch is not None:
-        body["batch"] = batch
+    body = {"nick": nick or config.nick, "msg": msg, "batch": batch}
     return _call(config, "POST", "/message", body=body)
 
 

@@ -23,8 +23,9 @@ from typing import Iterator
 from . import journal as jn
 from .config import csv_set, parse_kv
 from .errors import BadPattern, JournalError, UnreadableSource
-from .model import Shout, Source, normalize_nick
-from .parsing import DEFAULT_CONFIG, ParseResult, ParserConfig, flag_deviation, parse
+from .model import Shout, Source, normalize_message, normalize_nick
+from .parsing import DEFAULT_CONFIG, ParserConfig, build_shout, parse
+from .parsing import flag_deviation  # noqa: F401 - wrapped by perfbench/launch.py
 
 DEFAULT_CHATLOG_PATTERN = (
     r"^\[(?P<timestamp>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})\] "
@@ -134,24 +135,8 @@ def _parse_timestamp(value, offset: int) -> int:
 def make_mined_shout(nick: str, text: str, created: int,
                      parser_config: ParserConfig = DEFAULT_CONFIG) -> Shout:
     """A candidate shout: parsed, whitespace-normalized, source=mined."""
-    message = " ".join(text.split())
-    return _mined_shout(normalize_nick(nick), message, created,
-                        parse(message, parser_config), parser_config)
-
-
-def _mined_shout(nick: str, message: str, created: int, parsed: ParseResult,
-                 parser_config: ParserConfig) -> Shout:
-    return Shout(
-        id=uuid.uuid4().hex,
-        nick=nick,
-        message=message,
-        created=created,
-        source=Source.MINED,
-        kind=parsed.kind,
-        tags=parsed.tags,
-        deviation=flag_deviation(parsed, parser_config),
-        topic=parsed.topic,
-    )
+    return build_shout(uuid.uuid4().hex, nick, text, created, parser_config,
+                       source=Source.MINED)
 
 
 def parse_source(spec: SourceSpec) -> ParsedSource:
@@ -168,7 +153,7 @@ def parse_source(spec: SourceSpec) -> ParsedSource:
             scanned += 1
             try:
                 created = _parse_timestamp(row[time_key], offset)
-                message = " ".join(row[text_key].split())
+                message = normalize_message(row[text_key])
                 nick = normalize_nick(row[nick_key])
             except Exception:  # noqa: BLE001 - unmatched (None) or malformed row
                 message = ""
@@ -242,8 +227,8 @@ def select_shouts(rows: list[tuple[str, str, int]], mode: str = "prefix", *,
         for nick, message, created in rows:
             parsed = parse(message, parser_config)
             if parsed.ubiquitous:
-                kept.append(_mined_shout(nick, message, created, parsed,
-                                         parser_config))
+                kept.append(build_shout(uuid.uuid4().hex, nick, message, created,
+                                        parser_config, source=Source.MINED, parsed=parsed))
         return kept
     raise ValueError(f"unknown selection mode {mode!r}")
 

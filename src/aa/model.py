@@ -150,6 +150,11 @@ def normalize_nick(raw: str) -> str:
     return nick
 
 
+def normalize_message(raw: str) -> str:
+    """Collapse whitespace runs to single spaces; listings are line-oriented."""
+    return " ".join(raw.split())
+
+
 def iso8601(ts: int) -> str:
     """Render epoch seconds as an ISO 8601 UTC timestamp."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))

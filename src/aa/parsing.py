@@ -1,4 +1,5 @@
-"""Message grammar: classify raw text into a kind, tags, and deviation flags.
+"""Message grammar: classify raw text into a kind, tags, and deviation flags,
+and build the shout record a message becomes.
 
 All functions here are pure and deterministic; parsing the same text twice
 yields identical results.
@@ -10,7 +11,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import EmptyMessage
-from .model import DeviationKind, MessageKind, Tag, TagForm, TagScope
+from .model import (DeviationKind, MessageKind, Shout, Source, Tag, TagForm, TagScope,
+                    normalize_message, normalize_nick)
 
 TRAILING_PUNCT = ".,;:!?"
 QUERY_KEYWORDS = ("tickets", "milestones")
@@ -160,3 +162,21 @@ def flag_deviation(parsed: ParseResult,
     if not urls and not parsed.tags and len(words) == 1 and words[0] in config.intro_lexicon:
         return DeviationKind.INTRO_TEST
     return None
+
+
+def build_shout(shout_id: str, nick: str, message: str, created: int,
+                config: ParserConfig = DEFAULT_CONFIG, *, source: Source = Source.HTTP,
+                session_ref: str | None = None, client_created: int | None = None,
+                parsed: ParseResult | None = None) -> Shout:
+    """The shout a message becomes: nick and whitespace normalized, parsed, flagged.
+
+    ``parsed`` is the caller's own parse of the normalized message, if any.
+    """
+    handle = normalize_nick(nick)
+    text = normalize_message(message)
+    if parsed is None:
+        parsed = parse(text, config)
+    return Shout(id=shout_id, nick=handle, message=text, created=created,
+                 source=source, kind=parsed.kind, tags=parsed.tags,
+                 session_ref=session_ref, deviation=flag_deviation(parsed, config),
+                 client_created=client_created, topic=parsed.topic)

@@ -59,11 +59,6 @@ def shout_listing_entry(shout: Shout) -> dict:
     }
 
 
-def _normalize_message(message: str) -> str:
-    """Collapse all whitespace runs to single spaces; listings are line-oriented."""
-    return " ".join(message.split())
-
-
 class Store:
     """Journal-backed state with serialized mutations."""
 
@@ -107,41 +102,15 @@ class Store:
 
     # -- ingest ----------------------------------------------------------
 
-    def _build_shout(self, nick: str, message: str, *, source: Source,
-                     created: int, client_created: int | str | None = None,
-                     session_ref: str | None = None) -> Shout:
-        """One parsed shout; an ISO 8601 ``client_created`` becomes epoch seconds."""
-        if isinstance(client_created, str):
-            client_created = parse_iso8601(client_created)  # raises ValueError
-        handle = normalize_nick(nick)
-        text = _normalize_message(message)
-        parsed = parsing.parse(text, self.parser_config)  # raises EmptyMessage
-        deviation = parsing.flag_deviation(parsed, self.parser_config)
-        return Shout(
-            id=uuid.uuid4().hex,
-            nick=handle,
-            message=text,
-            created=created,
-            source=source,
-            kind=parsed.kind,
-            tags=parsed.tags,
-            session_ref=session_ref,
-            deviation=deviation,
-            client_created=client_created,
-            topic=parsed.topic,
-        )
-
     def receive_shout(self, nick: str, message: str, *,
                       source: Source = Source.HTTP,
-                      client_created: int | str | None = None) -> Shout:
+                      client_created: int | None = None) -> Shout:
         """Stamp, parse, journal, and store one message as a shout record."""
         with self._lock:
-            created = self._arrival()
-            handle = normalize_nick(nick)
-            session_ref = self.state.open_sessions.get(handle)
-            shout = self._build_shout(nick, message, source=source, created=created,
-                                      client_created=client_created,
-                                      session_ref=session_ref)
+            session_ref = self.state.open_sessions.get(normalize_nick(nick))
+            shout = parsing.build_shout(
+                uuid.uuid4().hex, nick, message, self._arrival(), self.parser_config,
+                source=source, session_ref=session_ref, client_created=client_created)
             self._commit([(jn.SHOUT, jn.shout_to_dict(shout))], self._now())
             return shout
 
@@ -190,8 +159,7 @@ class Store:
         """Dispatch one message: start, stop, push, query, or plain shout."""
         with self._lock:
             handle = normalize_nick(nick)
-            text = _normalize_message(message)
-            kind = parsing.classify_kind(text)  # raises EmptyMessage
+            kind = parsing.classify_kind(message)  # raises EmptyMessage
             now = self._arrival()
             written = self._now()
 
@@ -217,17 +185,15 @@ class Store:
                 result = {"result": "stop", "session": session.id,
                           "report": report, "validator": validator}
             elif kind is MessageKind.PUSH:
-                flushed = []
-                for item in batch or ():
-                    flushed.append(self._build_shout(
-                        handle, item["message"], source=Source.HTTP, created=now,
-                        client_created=item.get("client_created"),
-                        session_ref=session_ref))
+                flushed = [parsing.build_shout(
+                    uuid.uuid4().hex, handle, item["message"], now, self.parser_config,
+                    session_ref=session_ref, client_created=item.get("client_created"))
+                    for item in batch or ()]
                 before = [(jn.SHOUT, jn.shout_to_dict(s)) for s in flushed]
                 result = {"result": "push", "accepted": len(flushed),
                           "ids": [s.id for s in flushed]}
-            control = self._build_shout(handle, text, source=Source.HTTP,
-                                        created=now, session_ref=session_ref)
+            control = parsing.build_shout(uuid.uuid4().hex, handle, message, now,
+                                          self.parser_config, session_ref=session_ref)
             if kind is MessageKind.SHOUT:
                 result = {"result": "shout", "id": control.id}
             elif kind is MessageKind.QUERY:

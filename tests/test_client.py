@@ -10,6 +10,7 @@ from aa.client import (
     EXIT_SPOOLED,
     EXIT_USAGE,
     ClientConfig,
+    api_shout,
     cmd_shout,
     load_client_config,
     push,
@@ -75,6 +76,12 @@ class TestShoutCommand:
     def test_empty_message_not_sent(self, client_config):
         lines = []
         assert cmd_shout(client_config, "   ", out=lines.append) == EXIT_USAGE
+
+    def test_api_shout_sends_client_created(self, client_config, live_server):
+        result = api_shout(client_config, "x", client_created=1700000000)
+        assert result["kind"] == "shout"
+        assert [s.client_created for s in live_server.store.list_shouts()] == \
+            [1700000000]
 
     def test_server_down_spools_with_distinct_exit(self, tmp_path):
         config = offline_config(tmp_path)

@@ -166,12 +166,14 @@ class TestSelect:
                        "[2013-05-02 14:30:14] <eve> ;aa second #aao0\n"
                        "[2013-05-02 14:30:15] <eve> chat #aao0\n")
         parsed = []
+        real_parse = parsing.parse
 
         def counting(text, config=DEFAULT_CONFIG):
             parsed.append(text)
-            return parsing.parse(text, config)
+            return real_parse(text, config)
 
-        monkeypatch.setattr("aa.miner.parse", counting)
+        # prefix mode parses inside the shared shout builder
+        monkeypatch.setattr("aa.parsing.parse", counting)
         report = mine([chatlog_spec(log)], "prefix", None, dry_run=True)
         assert report.candidates == 2
         assert parsed == ["first note", "second #aao0"]

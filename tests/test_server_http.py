@@ -1,10 +1,16 @@
 import json
+import re
 import socket
+import urllib.request
+from pathlib import Path
 
 import pytest
-from conftest import get_json, http_get, post_json
+from conftest import get_json, http_get, http_post, post_json
 
-from aa.server import MAX_BODY
+from aa import server
+from aa.server import MAX_BODY, ROUTES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestShoutEndpoint:
@@ -251,6 +257,74 @@ class TestReportEndpoint:
         status, body = http_get(live_server.url + "/report", params={"n": n})
         assert status == 400
         assert json.loads(body)["error"] == "bad_request"
+
+
+class TestTypedParameters:
+    """Query, form and JSON values are read by each route's declared types."""
+
+    @pytest.mark.parametrize("path, body, name", [
+        ("/shout", {"nick": 5, "msg": "x"}, "nick"),
+        ("/shout", {"nick": "bob", "msg": 5}, "msg"),
+        ("/shout", {"nick": "bob", "msg": "x", "client_created": [1]}, "client_created"),
+        ("/shout", {"nick": "bob", "msg": "x", "client_created": 1.5}, "client_created"),
+        ("/shout", {"nick": "bob", "msg": "x", "client_created": True}, "client_created"),
+        ("/message", {"nick": "bob", "msg": "push", "batch": [5]}, "batch"),
+        ("/message", {"nick": "bob", "msg": "push", "batch": [{"message": 5}]}, "batch"),
+        ("/session/{sid}/screencast", {"url": 5}, "url"),
+        ("/session/{sid}/review",
+         {"reviewer": "alice", "score": 0.5, "comment": 7}, "comment"),
+        ("/session/{sid}/lost", {"slot": True}, "slot"),
+    ], ids=["nick", "msg", "client_created-list", "client_created-float",
+            "client_created-bool", "batch-item", "batch-message", "url", "comment",
+            "slot-bool"])
+    def test_ill_typed_value_is_bad_request(self, live_server, path, body, name):
+        _, started = post_json(live_server.url + "/message",
+                               body={"nick": "bob", "msg": "start"})
+        journal = Path(live_server.store.journal.path)
+        before = journal.read_bytes()
+        status, result = post_json(
+            live_server.url + path.format(sid=started["session"]), body=body)
+        assert (status, result["error"]) == (400, "bad_request")
+        assert repr(name) in result["detail"]
+        assert journal.read_bytes() == before
+
+    def test_numeric_client_created_same_from_query_form_and_json(self, live_server):
+        url = live_server.url + "/shout"
+        note = {"nick": "bob", "msg": "note"}
+        assert http_post(url, params={**note, "client_created": 1700000000})[0] == 200
+        form = urllib.request.Request(
+            url, data=b"nick=bob&msg=note&client_created=1700000000", method="POST",
+            headers={"Content-Type": "application/x-www-form-urlencoded"})
+        with urllib.request.urlopen(form, timeout=10) as resp:
+            assert resp.status == 200
+        for value in (1700000000, "1700000000"):
+            assert post_json(url, body={**note, "client_created": value})[0] == 200
+        assert [s.client_created for s in live_server.store.list_shouts()] == \
+            [1700000000] * 4
+
+
+def _documented_routes(text: str) -> set[tuple[str, str]]:
+    found = re.findall(r"(GET/POST|GET|POST)`? +(/[\w/<>]+)", text)
+    return {(method, path) for methods, path in found for method in methods.split("/")}
+
+
+def test_route_table_and_docs_agree():
+    table = {(method, path) for _, methods, path, _, _ in ROUTES for method in methods}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    surface = readme[readme.index("Server HTTP surface"):readme.index("Notes on storage")]
+    assert _documented_routes(server.__doc__) == table
+    assert _documented_routes(surface) == table
+
+
+@pytest.mark.parametrize("method, path", [
+    ("POST", "/nope"), ("GET", "/message"), ("POST", "/report"),
+    ("GET", "/session/x/review"), ("POST", "/session/x/frob"),
+    ("POST", "/session/x/y/lost"),
+])
+def test_unrouted_method_or_path_is_404(live_server, method, path):
+    send = http_get if method == "GET" else http_post
+    status, body = send(live_server.url + path)
+    assert (status, json.loads(body)["error"]) == (404, "not_found")
 
 
 def test_unknown_route_is_404(live_server):
