@@ -162,30 +162,33 @@ def review_from_dict(data: dict) -> ValidationReview:
 
 
 class Journal:
-    """Writer for one journal file; appends are flushed before returning.
+    """The one writer of a journal file, and the state its records make.
 
     Opening a journal takes an exclusive advisory lock on the file, held
-    until ``close``, and repairs a torn final line; a second writer on the
-    same file is refused with JournalError. A writer that replays the file
-    opens its Journal first, so no other writer can append in between.
+    until ``close``; a second writer is refused with JournalError. Under the
+    lock it repairs a torn final line and replays the file into ``state``,
+    so no other writer can append in between.
     """
 
-    def __init__(self, path: str, next_seq: int = 1):
+    def __init__(self, path: str):
         self.path = path
-        self.next_seq = next_seq
+        self._refusal = ""
         try:
-            fh = open(path, "a", encoding="utf-8")
+            fh = open(path, "a+b", buffering=0)  # one os.write per append
         except OSError as exc:
             raise JournalError(f"cannot open journal {path}: {exc}") from exc
         try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            _end_last_line(path)
-        except BlockingIOError as exc:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                _end_last_line(fh.fileno(), path)
+                self.state = replay(path)
+            except BlockingIOError as exc:
+                raise JournalError(f"journal {path} is locked by another writer") from exc
+            except OSError as exc:
+                raise JournalError(f"cannot open journal {path}: {exc}") from exc
+        except BaseException:
             fh.close()
-            raise JournalError(f"journal {path} is locked by another writer") from exc
-        except OSError as exc:
-            fh.close()
-            raise JournalError(f"cannot open journal {path}: {exc}") from exc
+            raise
         self._fh = fh
 
     def __enter__(self) -> "Journal":
@@ -194,31 +197,53 @@ class Journal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def append_many(self, items: list[tuple[str, dict]], written: int) -> list[JournalRecord]:
-        """Append several records in one write; nothing advances on failure."""
-        records = [
-            JournalRecord(seq=self.next_seq + i, written=written, type=rtype, data=data)
-            for i, (rtype, data) in enumerate(items)
-        ]
+    def append_many(self, items: list[tuple[str, dict]],
+                    written: int) -> list[JournalRecord]:
+        """Append records in one write and fsync, then apply them to ``state``.
+
+        A failed write or fsync is cut back off the file, leaving the file and
+        ``state`` as they were, and raises JournalError. A failed fsync is not
+        retried, as the kernel may have dropped the pages it could not write:
+        after one, or after a failed cut, every append is refused until the
+        journal is reopened, which replays what the file really holds.
+        """
+        if self._refusal:
+            raise JournalError(self._refusal)
+        first = self.state.last_seq + 1
+        records = [JournalRecord(seq=first + i, written=written, type=rtype, data=data)
+                   for i, (rtype, data) in enumerate(items)]
         payload = "".join(
             json.dumps({"seq": r.seq, "written": r.written, "type": r.type,
                         "data": r.data}, sort_keys=True) + "\n"
             for r in records
-        )
+        ).encode()
+        fd = self._fh.fileno()
+        size = os.fstat(fd).st_size
+        step = "write"
         try:
-            self._fh.write(payload)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if os.write(fd, payload) != len(payload):
+                raise OSError("short write")
+            step = "fsync"
+            os.fsync(fd)
         except OSError as exc:
-            raise JournalError(f"journal write failed: {exc}") from exc
-        self.next_seq += len(records)
+            refuse = step == "fsync"
+            try:
+                os.ftruncate(fd, size)
+            except OSError:
+                refuse = True
+            if refuse:
+                self._refusal = (f"journal {self.path} refuses writes after a failed "
+                                 f"{step} ({exc}); reopen it")
+            raise JournalError(f"journal {step} failed: {exc}") from exc
+        for record in records:
+            self.state.apply(record)
         return records
 
     def close(self) -> None:
         self._fh.close()
 
 
-def _end_last_line(path: str) -> None:
+def _end_last_line(fd: int, path: str) -> None:
     """Make an unterminated final line agree with read_records.
 
     A crash mid-write leaves the last line without its newline. If that line
@@ -226,22 +251,18 @@ def _end_last_line(path: str) -> None:
     it reads as a whole record and only gains its newline. Either way the
     next append starts a line of its own. A cut is logged with its size.
     """
-    if os.path.getsize(path) == 0:
+    size = os.fstat(fd).st_size
+    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
         return
-    with open(path, "r+b") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        data = fh.read()
-        line = data[data.rfind(b"\n") + 1:]
-        try:
-            json.loads(line)
-        except ValueError:
-            fh.truncate(len(data) - len(line))
-            log.warning("%s: cut a torn final line of %d bytes", path, len(line))
-        else:
-            fh.write(b"\n")
+    data = os.pread(fd, size, 0)
+    line = data[data.rfind(b"\n") + 1:]
+    try:
+        json.loads(line)
+    except ValueError:
+        os.ftruncate(fd, size - len(line))
+        log.warning("%s: cut a torn final line of %d bytes", path, len(line))
+    else:
+        os.write(fd, b"\n")
 
 
 def read_records(path: str) -> Iterator[JournalRecord]:

@@ -15,7 +15,7 @@ import re
 import sys
 import uuid
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterator
@@ -142,7 +142,8 @@ def make_mined_shout(nick: str, text: str, created: int,
 def parse_source(spec: SourceSpec) -> ParsedSource:
     """Extract a source's rows; unusable rows are counted, not fatal.
 
-    A row is skipped when it is unmatched or incomplete, or when its
+    A row is skipped when it is unmatched (a log line the pattern does not
+    match, a dump line that is not JSON) or incomplete, or when its
     timestamp is bad or its nick or text is blank.
     """
     offset = spec.utc_offset()
@@ -161,7 +162,7 @@ def parse_source(spec: SourceSpec) -> ParsedSource:
                 usable.append((nick, message, created))
             else:
                 skipped += 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableSource(f"cannot read {spec.path}: {exc}") from exc
     return ParsedSource(usable, scanned, skipped)
 
@@ -190,15 +191,25 @@ def _chatlog_rows(path: str, pattern: re.Pattern) -> Iterator[re.Match | None]:
 
 
 def _json_rows(path: str) -> Iterator:
+    """The records of a JSON array, or of JSON lines; a line that is not
+    JSON is a None row, skipped like an unmatched log line."""
     with open(path, encoding="utf-8") as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "[":
-            yield from json.load(fh)
+            try:
+                rows = json.load(fh)
+            except ValueError as exc:
+                raise UnreadableSource(f"{path} is not a JSON array: {exc}") from exc
+            yield from rows
         else:
             for line in fh:
                 if line.strip():
-                    yield json.loads(line)
+                    try:
+                        row = json.loads(line)
+                    except ValueError:
+                        row = None
+                    yield row
 
 
 def _tabular_rows(path: str, delimiter: str) -> Iterator[dict]:
@@ -282,14 +293,25 @@ def import_shouts(journal: jn.Journal, kept: list[Shout]) -> int:
 
 
 def load_source_spec(path: str) -> SourceSpec:
-    """Read one source spec from a key=value file."""
+    """Read one source spec from a key=value file.
+
+    Each key names a SourceSpec field, and a delimiter is one character.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             values = parse_kv(fh.read())
     except OSError as exc:
         raise UnreadableSource(f"cannot read source spec {path}: {exc}") from exc
+    except ValueError as exc:
+        raise BadPattern(f"{path}: {exc}") from exc
+    unknown = sorted(set(values) - {f.name for f in fields(SourceSpec)})
+    if unknown:
+        raise BadPattern(f"{path}: unknown source spec keys {unknown}")
     if "path" not in values:
         raise BadPattern(f"{path}: source spec needs a 'path' entry")
+    if len(values.get("delimiter", "\t")) != 1:
+        raise BadPattern(f"{path}: delimiter {values['delimiter']!r} is not "
+                         f"one character")
     try:
         kind = SourceKind(values.get("kind", "chatlog"))
     except ValueError as exc:
@@ -316,8 +338,8 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
          parser_config: ParserConfig = DEFAULT_CONFIG) -> MiningReport:
     """Full pipeline: read every source, select, dedup, and import.
 
-    An import locks the corpus before reading it, so no other writer can
-    append between the replay and the import.
+    An import dedups against the state its Journal replayed under the lock,
+    so no other writer can append between the replay and the import.
     """
     all_candidates: list[Shout] = []
     per_source: dict = {}
@@ -335,11 +357,11 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
         all_candidates.extend(selected)
     importing = bool(corpus_path) and not dry_run
     with (jn.Journal(corpus_path) if importing else nullcontext()) as journal:
-        state = jn.replay(corpus_path) if corpus_path else jn.ReplayState()
+        state = (journal.state if journal else
+                 jn.replay(corpus_path) if corpus_path else jn.ReplayState())
         kept, report = dedup(all_candidates, corpus_from_journal(state, key),
                              key=key, scanned=scanned, per_source=per_source)
-        if importing:
-            journal.next_seq = state.last_seq + 1
+        if journal:
             import_shouts(journal, kept)
     return report
 

@@ -1,9 +1,10 @@
 """The shout store: arrival stamping, journaling, sessions, and listings.
 
 State is held in memory and every accepted mutation is journaled before it
-becomes visible, so replaying the journal reproduces the live state.
-``Store._commit`` is the only write path: it appends a mutation's records in
-one write and applies them only once that write has succeeded.
+becomes visible, so replaying the journal reproduces the live state. The
+store's state is its ``Journal``'s: each mutation hands its records to
+``Journal.append_many``, which writes them in one write and applies them
+only once that write is durable.
 """
 
 from __future__ import annotations
@@ -73,14 +74,8 @@ class Store:
         self.slot = slot
         self.tolerance = tolerance
         self.parser_config = parser_config
-        # locked before the replay, so no other writer can append after it
         self.journal = jn.Journal(journal_path)
-        try:
-            self.state = jn.replay(journal_path)
-        except BaseException:
-            self.journal.close()
-            raise
-        self.journal.next_seq = self.state.last_seq + 1
+        self.state = self.journal.state
         # shout id -> (shout, its encoded listing entry); filled by listings
         self._listing: dict[str, tuple[Shout, str]] = {}
 
@@ -93,13 +88,6 @@ class Store:
         # arrival times never go backwards within one process
         return max(self._now(), self.state.last_created)
 
-    # -- journal ---------------------------------------------------------
-
-    def _commit(self, records: list[tuple[str, dict]], written: int) -> None:
-        """Journal the records in one write, then apply them to the state."""
-        for record in self.journal.append_many(records, written):
-            self.state.apply(record)
-
     # -- ingest ----------------------------------------------------------
 
     def receive_shout(self, nick: str, message: str, *,
@@ -111,7 +99,7 @@ class Store:
             shout = parsing.build_shout(
                 uuid.uuid4().hex, nick, message, self._arrival(), self.parser_config,
                 source=source, session_ref=session_ref, client_created=client_created)
-            self._commit([(jn.SHOUT, jn.shout_to_dict(shout))], self._now())
+            self.journal.append_many([(jn.SHOUT, jn.shout_to_dict(shout))], self._now())
             return shout
 
     # -- sessions ----------------------------------------------------------
@@ -148,7 +136,7 @@ class Store:
         try:
             users = users_from_nicks(self.state.by_nick).values()
             validator = eng.assign_validator(session, users,
-                                             seed=self.journal.next_seq).id
+                                             seed=self.state.last_seq + 1).id
         except NoEligibleValidator:
             pass
         session = replace(session, shouts=tuple(s.id for s in members + markers))
@@ -199,8 +187,8 @@ class Store:
             elif kind is MessageKind.QUERY:
                 result = {"result": "query", "topic": control.topic, "items": [],
                           "code": "no_backend"}
-            self._commit(before + [(jn.SHOUT, jn.shout_to_dict(control))] + after,
-                         written)
+            self.journal.append_many(
+                before + [(jn.SHOUT, jn.shout_to_dict(control))] + after, written)
             return result
 
     def emit_lost(self, session_id: str, slot_index: int) -> Shout:
@@ -211,7 +199,7 @@ class Store:
                 session = replace(session, end=max(session.start, self._arrival()))
             marker = eng.emit_lost_timeslot(session, self._member_shouts(session_id),
                                             slot_index, tolerance=self.tolerance)
-            self._commit([(jn.SHOUT, jn.shout_to_dict(marker))], self._now())
+            self.journal.append_many([(jn.SHOUT, jn.shout_to_dict(marker))], self._now())
             return marker
 
     def attach_screencast(self, session_id: str, url: str) -> Session:
@@ -224,7 +212,7 @@ class Store:
             updated = replace(session, screencast=url,
                               shouts=tuple(self.state.members.get(session_id, ())))
             data = jn.session_to_dict(updated, jn.EVENT_SCREENCAST)
-            self._commit([(jn.SESSION, data)], self._now())
+            self.journal.append_many([(jn.SESSION, data)], self._now())
             return updated
 
     def record_review(self, session_id: str, reviewer: str, score: float,
@@ -234,7 +222,8 @@ class Store:
             session = self._session(session_id)
             review = eng.make_review(session, normalize_nick(reviewer), score,
                                      comment, created=self._arrival())
-            self._commit([(jn.REVIEW, jn.review_to_dict(review))], self._now())
+            self.journal.append_many([(jn.REVIEW, jn.review_to_dict(review))],
+                                     self._now())
             return review
 
     # -- queries -----------------------------------------------------------

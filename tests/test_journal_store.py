@@ -1,5 +1,8 @@
+import errno
+import fcntl
 import json
 import logging
+import os
 import sys
 import tempfile
 import threading
@@ -8,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import FakeClock
+from conftest import FakeClock, make_shout
 from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn
@@ -41,13 +44,16 @@ from aa.model import (
 from aa.store import Store, render_text_line, shout_listing_entry
 
 
+def shout_item(shout_id: str) -> tuple[str, dict]:
+    return "shout", jn.shout_to_dict(make_shout(shout_id))
+
+
 class TestJournal:
     def test_seq_increases_without_gaps(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = jn.Journal(path)
-        journal.append_many([("shout", {"id": "a"})], written=1)
-        journal.append_many([("shout", {"id": "b"}), ("shout", {"id": "c"})],
-                            written=2)
+        journal.append_many([shout_item("a")], written=1)
+        journal.append_many([shout_item("b"), shout_item("c")], written=2)
         journal.close()
         seqs = [r.seq for r in jn.read_records(path)]
         assert seqs == [1, 2, 3]
@@ -55,8 +61,7 @@ class TestJournal:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = jn.Journal(str(path))
-        journal.append_many([("shout", {"id": "a", "nick": "bob", "message": "x",
-                                        "created": 1})], written=1)
+        journal.append_many([shout_item("a")], written=1)
         journal.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq": 2, "writ')  # crash mid-write
@@ -78,14 +83,14 @@ class TestJournal:
     def test_torn_tail_cut_is_logged(self, tmp_path, caplog):
         path = tmp_path / "j.jsonl"
         journal = jn.Journal(str(path))
-        journal.append_many([("shout", {"id": "a"})], written=1)
+        journal.append_many([shout_item("a")], written=1)
         journal.close()
         torn = '{"seq": 2, "writ'
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(torn)  # crash mid-write
         with caplog.at_level(logging.INFO, logger="aa.journal"):
-            restarted = jn.Journal(str(path), next_seq=2)
-        restarted.append_many([("shout", {"id": "b"})], written=2)
+            restarted = jn.Journal(str(path))
+        restarted.append_many([shout_item("b")], written=2)
         restarted.close()
         assert [(r.name, r.levelno) for r in caplog.records] == \
             [("aa.journal", logging.WARNING)]
@@ -96,11 +101,11 @@ class TestJournal:
 
     def test_unterminated_whole_record_is_not_logged(self, tmp_path, caplog):
         path = tmp_path / "j.jsonl"
-        path.write_text('{"seq": 1, "written": 1, "type": "shout", '
-                        '"data": {"id": "a"}}')
+        path.write_text(json.dumps({"seq": 1, "written": 1, "type": "shout",
+                                    "data": shout_item("a")[1]}))
         with caplog.at_level(logging.INFO, logger="aa.journal"):
-            journal = jn.Journal(str(path), next_seq=2)
-        journal.append_many([("shout", {"id": "b"})], written=2)
+            journal = jn.Journal(str(path))
+        journal.append_many([shout_item("b")], written=2)
         journal.close()
         assert caplog.records == []
         assert [r.seq for r in jn.read_records(str(path))] == [1, 2]
@@ -121,12 +126,12 @@ class TestJournal:
         with jn.Journal(path) as first:
             with pytest.raises(JournalError, match=f"journal {path} is locked"):
                 jn.Journal(path)
-            first.append_many([("shout", {"id": "a"})], written=1)
+            first.append_many([shout_item("a")], written=1)
             # readers take no lock
             assert [r.seq for r in jn.read_records(path)] == [1]
-            first.append_many([("shout", {"id": "b"})], written=2)
-        with jn.Journal(path, next_seq=3) as second:
-            second.append_many([("shout", {"id": "c"})], written=3)
+            first.append_many([shout_item("b")], written=2)
+        with jn.Journal(path) as second:
+            second.append_many([shout_item("c")], written=3)
         assert [r.data["id"] for r in jn.read_records(path)] == ["a", "b", "c"]
 
     def test_import_beside_a_replayed_store_is_refused(self, tmp_path, clock):
@@ -139,7 +144,7 @@ class TestJournal:
         store = Store(path, clock=clock)  # replayed, has not written yet
         try:
             with pytest.raises(JournalError, match=f"journal {path} is locked"):
-                with jn.Journal(path, next_seq=2) as journal:
+                with jn.Journal(path) as journal:
                     import_shouts(journal, [mined])
             store.receive_shout("bob", "second")
         finally:
@@ -147,12 +152,31 @@ class TestJournal:
         assert [r.seq for r in jn.read_records(path)] == [1, 2]
         assert [s.message for s in jn.replay(path).shouts] == ["first", "second"]
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_import_numbers_on_from_the_records_it_replayed(self, tmp_path, n):
+        path = str(tmp_path / "j.jsonl")
+        with jn.Journal(path) as journal:
+            journal.append_many([shout_item(f"s{i}") for i in range(n)], written=1)
+        mined = Shout(id="m", nick="eve", message="mined", created=0,
+                      source=Source.MINED)
+        with jn.Journal(path) as journal:
+            import_shouts(journal, [mined])
+            assert journal.state == jn.replay(path)
+        assert [r.seq for r in jn.read_records(path)] == list(range(1, n + 2))
+
+    def test_store_state_is_its_journals(self, store):
+        assert store.state is store.journal.state
+        store.receive_shout("bob", "x")
+        assert store.state is store.journal.state
+        assert store.state.last_seq == 1
+
     def test_store_refused_by_replay_releases_the_lock(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('not json\n{"seq": 1}\n')
         with pytest.raises(JournalError, match="malformed record"):
             Store(str(path))
-        jn.Journal(str(path)).close()
+        with open(path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_restart_after_crash_at_every_byte_of_last_record(self, tmp_path, clock):
         seed = tmp_path / "seed.jsonl"
@@ -215,6 +239,40 @@ class TestIngest:
         assert len([r for r in records if r.type == "shout"]) == 5
 
 
+def fail_once(monkeypatch, store, name, fault):
+    """Make the next ``os.<name>`` call on the store's journal run ``fault``."""
+    real = getattr(os, name)
+    fd = store.journal._fh.fileno()
+    armed = [True]
+
+    def faulty(target, *args):
+        if target == fd and armed:
+            armed.clear()
+            return fault(real, target, *args)
+        return real(target, *args)
+
+    monkeypatch.setattr(os, name, faulty)
+
+
+def no_space(real, fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def half_written(real, fd, data):
+    return real(fd, data[:len(data) // 2])
+
+
+def io_error(real, fd, *args):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+FAULTS = {
+    "write": ("write", no_space),
+    "short-write": ("write", half_written),
+    "fsync": ("fsync", io_error),
+}
+
+
 class TestCommit:
     MUTATIONS = {
         "shout": lambda store, ids: store.receive_shout("carol", "will not stick"),
@@ -229,9 +287,10 @@ class TestCommit:
         "review": lambda store, ids: store.record_review(ids["closed"], "alice", 0.5),
     }
 
-    @pytest.mark.parametrize("mutation", list(MUTATIONS))
-    def test_failed_journal_write_leaves_no_state(self, store, clock, monkeypatch,
-                                                  mutation):
+    @staticmethod
+    def refuse(store, clock, mutation, arm):
+        """Run ``mutation`` on a store with closed and open sessions after
+        ``arm`` sets up a fault; it must be refused and leave no trace."""
         closed = store.receive_message("bob", "start")["session"]
         store.receive_shout("bob", "work")
         clock.advance(900)
@@ -244,14 +303,70 @@ class TestCommit:
             return (store.list_shouts(), store.report(), dict(store.state.sessions),
                     dict(store.state.reviews), Path(store.journal.path).read_bytes())
 
+        before = snapshot()
+        arm()
+        with pytest.raises(JournalError):
+            TestCommit.MUTATIONS[mutation](store, {"open": open_, "closed": closed})
+        assert snapshot() == before
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_failed_journal_write_leaves_no_state(self, store, clock, monkeypatch,
+                                                  mutation):
         def boom(*args, **kwargs):
             raise JournalError("disk full")
 
-        before = snapshot()
-        monkeypatch.setattr(store.journal, "append_many", boom)
-        with pytest.raises(JournalError):
-            self.MUTATIONS[mutation](store, {"open": open_, "closed": closed})
-        assert snapshot() == before
+        self.refuse(store, clock, mutation,
+                    lambda: monkeypatch.setattr(store.journal, "append_many", boom))
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_failed_write_or_fsync_leaves_no_state(self, store, clock, monkeypatch,
+                                                   mutation, fault):
+        self.refuse(store, clock, mutation,
+                    lambda: fail_once(monkeypatch, store, *FAULTS[fault]))
+
+    @pytest.mark.parametrize("fault", ["write", "short-write"])
+    def test_after_a_failed_write_the_next_shout_takes_the_next_seq(
+            self, store, clock, monkeypatch, fault):
+        store.receive_shout("bob", "first")
+        fail_once(monkeypatch, store, *FAULTS[fault])
+        with pytest.raises(JournalError, match="journal write failed"):
+            store.receive_shout("bob", "refused")
+        clock.advance(1)
+        store.receive_shout("bob", "second")
+        assert [r.seq for r in jn.read_records(store.journal.path)] == [1, 2]
+        replayed = jn.replay(store.journal.path)
+        assert replayed == store.state
+        assert replayed.by_created.ordered() == store.list_shouts()
+        assert [s.message for s in store.list_shouts()] == ["first", "second"]
+
+    @pytest.mark.parametrize("faults, failed", [
+        ([FAULTS["fsync"]], "fsync"),
+        ([FAULTS["short-write"], ("ftruncate", io_error)], "write"),
+    ], ids=["fsync", "short-write-and-cut"])
+    def test_after_a_failed_fsync_or_cut_every_write_is_refused_until_restart(
+            self, store, clock, monkeypatch, faults, failed):
+        store.receive_shout("bob", "first")
+        for fault in faults:
+            fail_once(monkeypatch, store, *fault)
+        with pytest.raises(JournalError, match=f"journal {failed} failed"):
+            store.receive_shout("bob", "refused")
+        written = Path(store.journal.path).read_bytes()
+        for attempt in (lambda: store.receive_shout("bob", "also refused"),
+                        lambda: store.receive_message("bob", "start")):
+            with pytest.raises(JournalError,
+                               match=f"refuses writes after a failed {failed}"):
+                attempt()
+        assert Path(store.journal.path).read_bytes() == written
+        store.close()
+
+        restarted = Store(store.journal.path, clock=clock)
+        try:
+            assert restarted.state == store.state
+            restarted.receive_shout("bob", "after the restart")
+            assert [r.seq for r in jn.read_records(store.journal.path)] == [1, 2]
+        finally:
+            restarted.close()
 
 
 class TestListings:
@@ -607,7 +722,7 @@ def run_steps(steps, check):
                                    message=f"mined {age}", source=Source.MINED,
                                    created=store.state.last_created - age)
                              for age in arg]
-                    with jn.Journal(path, next_seq=store.journal.next_seq) as journal:
+                    with jn.Journal(path) as journal:
                         import_shouts(journal, mined)
                     store = Store(path, clock=clock)
                 else:

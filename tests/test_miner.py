@@ -34,6 +34,11 @@ def chatlog_spec(path, **kwargs):
     return SourceSpec(kind=SourceKind.CHAT_LOG, path=str(path), **kwargs)
 
 
+def json_spec(path):
+    return SourceSpec(kind=SourceKind.JSON_DUMP, path=str(path),
+                      mapping={"nick": "author", "message": "text", "created": "when"})
+
+
 class TestParseSource:
     def test_default_pattern_line(self, tmp_path):
         log = tmp_path / "irc.log"
@@ -111,6 +116,21 @@ class TestParseSource:
                                    "created": "time"})
         outcome = parse_source(spec)
         assert outcome.rows[0][1] == "from mysql"
+
+    def test_json_line_that_is_not_json_is_skipped(self, tmp_path):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text('{"author": "bob", "text": "kept", "when": 1367505011}\n'
+                        'not json\n'
+                        '{"author": "eve", "text": "also kept", "when": 1367505012}\n')
+        outcome = parse_source(json_spec(dump))
+        assert [message for _, message, _ in outcome.rows] == ["kept", "also kept"]
+        assert (outcome.scanned, outcome.skipped) == (3, 1)
+
+    def test_json_array_that_does_not_parse_is_unreadable(self, tmp_path):
+        dump = tmp_path / "dump.json"
+        dump.write_text('[{"author": "bob", "text": "x", "when": 1367505011},\n')
+        with pytest.raises(UnreadableSource, match="not a JSON array"):
+            parse_source(json_spec(dump))
 
     def test_dump_mapping_required(self, tmp_path):
         dump = tmp_path / "dump.jsonl"
@@ -348,7 +368,7 @@ class TestImport:
     def test_import_continues_sequence(self, tmp_path, store, clock):
         store.receive_shout("bob", "existing")
         store.close()
-        with jn.Journal(store.journal.path, next_seq=2) as journal:
+        with jn.Journal(store.journal.path) as journal:
             import_shouts(journal, [mined("mined in")])
         seqs = [r.seq for r in jn.read_records(store.journal.path)]
         assert seqs == [1, 2]
@@ -414,6 +434,31 @@ class TestCliErrors:
         code = mine_main(["--source", str(spec)])
         assert code == 2
         assert "unknown source kind" in capsys.readouterr().err
+
+    def test_broken_json_array_dump_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "dump.json"
+        dump.write_text('[{"author": "bob"')
+        spec = tmp_path / "source.conf"
+        spec.write_text(f"kind = jsondump\npath = {dump}\n"
+                        f"mapping = nick=author,message=text,created=when\n")
+        code = mine_main(["--source", str(spec), "--dry-run"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("aa-mine: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("delimeter = ,", "unknown source spec keys ['delimeter']"),
+        ("delimiter = \\t", "delimiter '\\\\t' is not one character"),
+        ("delimiter =", "delimiter '' is not one character"),
+        ("no equals sign", "expected key=value"),
+    ], ids=["misspelled-key", "escaped-tab", "empty-delimiter", "not-key-value"])
+    def test_bad_spec_line_rejected(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "bad.conf"
+        spec.write_text(f"kind = tabulardump\npath = x.tsv\n{line}\n")
+        with pytest.raises(BadPattern, match=re.escape(message)):
+            load_source_spec(str(spec))
+        assert mine_main(["--source", str(spec)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_corpus_held_by_a_live_store_is_refused(self, tmp_path, store, capsys):
         store.receive_shout("bob", "the server wrote first")
