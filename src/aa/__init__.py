@@ -5,40 +5,3 @@ provides the server that stores shouts, the terminal client that times
 sessions of them, an IRC bot front end, a miner for historical logs, an
 RDF exporter, and a statistics engine.
 """
-
-from .model import (
-    DeviationKind,
-    MessageKind,
-    Session,
-    SessionOrigin,
-    Shout,
-    Source,
-    Tag,
-    TagForm,
-    TagScope,
-    User,
-    ValidationReview,
-    normalize_nick,
-)
-from .parsing import ParseResult, ParserConfig, parse
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DeviationKind",
-    "MessageKind",
-    "ParseResult",
-    "ParserConfig",
-    "Session",
-    "SessionOrigin",
-    "Shout",
-    "Source",
-    "Tag",
-    "TagForm",
-    "TagScope",
-    "User",
-    "ValidationReview",
-    "normalize_nick",
-    "parse",
-    "__version__",
-]

@@ -132,15 +132,37 @@ def spool_append(config: ClientConfig, message: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     record = {"type": "shout", "data": {"nick": config.nick, "message": message,
                                         "client_created": int(time.time())}}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    line = json.dumps(record, sort_keys=True) + "\n"
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = "\n" + line  # end a last line cut off mid-append
+        fh.write(line.encode())
+
+
+def spool_read(config: ClientConfig) -> tuple[list[dict], int]:
+    """The spool's records, and the number of lines skipped because they are
+    not a JSON object (such as a line cut off mid-append)."""
+    records, skipped = [], 0
+    if not os.path.exists(config.spool):
+        return records, skipped
+    with open(config.spool, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if isinstance(record, dict):
+                    records.append(record)
+                else:
+                    skipped += 1
+    return records, skipped
 
 
 def spool_load(config: ClientConfig) -> list[dict]:
-    if not os.path.exists(config.spool):
-        return []
-    with open(config.spool, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return spool_read(config)[0]
 
 
 def spool_write(config: ClientConfig, records: list[dict]) -> None:
@@ -178,8 +200,14 @@ def cmd_shout(config: ClientConfig, message: str, out=print) -> int:
 
 
 def push(config: ClientConfig, out=print) -> int:
-    """Send spooled shouts in order; the spool keeps any unsent suffix."""
-    records = spool_load(config)
+    """Send spooled shouts in order; the spool keeps any unsent suffix.
+
+    Lines that are not a record are dropped from the spool first.
+    """
+    records, skipped = spool_read(config)
+    if skipped:
+        spool_write(config, records)
+        out(f"dropped {skipped} unreadable spool line(s)")
     if not records:
         out("spool empty")
         return EXIT_OK

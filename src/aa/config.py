@@ -16,11 +16,15 @@ T = TypeVar("T")
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse simple ``key = value`` lines; ``#`` starts a comment."""
+    """Parse simple ``key = value`` lines.
+
+    A line whose first non-blank character is ``#`` is a comment; a ``#``
+    anywhere else is part of the line, so a value may contain one.
+    """
     out: dict[str, str] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"expected key=value, got {raw!r}")

@@ -1,4 +1,4 @@
-"""IRC bot: logs channel messages prefixed ";aa " as shouts and replies.
+"""IRC bot: logs channel messages that start with SHOUT_PREFIX as shouts and replies.
 
 The bot speaks the client protocol directly over a TCP socket: register
 with NICK/USER, JOIN the configured channel, answer PING, and dispatch
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from . import client as http_client
 from .client import ClientConfig, TransportError
 from .model import normalize_nick
+from .parsing import SHOUT_PREFIX
 
 log = logging.getLogger("aa.bot")
 
-SHOUT_PREFIX = ";aa "
 USAGE_REPLY = 'usage: ";aa <what you are working on>" logs a shout under your nick'
 
 INFO_LINES = (
@@ -84,7 +84,7 @@ def handle_line(event: ChatEvent, submit, info=None) -> str | None:
 
 
 class Bot:
-    """One IRC connection driving the ";aa " logging behavior."""
+    """One IRC connection driving the shout-logging behavior."""
 
     def __init__(self, config: BotConfig):
         self.config = config
@@ -142,70 +142,57 @@ class Bot:
         self._sock = raw
         self._buffer = b""
 
-    def _register(self, stop=None) -> None:
+    def _serve(self, stop=None) -> None:
+        """Register, join once welcomed, then log the channel's shouts.
+
+        PING is answered throughout. Before the welcome, ERROR gives up and
+        a 433 (nick in use) retries with "_" appended, at most 3 times.
+        """
         nick = self.config.nick
         self._send(f"NICK {nick}")
         self._send(f"USER {nick} 0 * :{nick}")
-        retries = 0
+        retries, joined = 0, False
         for line in self._lines(stop):
-            parts = line.split()
-            if not parts:
-                continue
+            log.debug("<< %s", line)
+            parts = line.split(" ", 3)
+            command = parts[1] if len(parts) > 1 else None
             if parts[0] == "PING":
-                self._send("PONG " + (parts[1] if len(parts) > 1 else ""))
-                continue
-            if parts[0] == "ERROR":
+                self._send("PONG " + line[5:])
+            elif joined:
+                if (len(parts) < 4 or command != "PRIVMSG"
+                        or parts[2].lower() != self.config.channel.lower()):
+                    continue
+                sender = parts[0][1:].split("!", 1)[0]
+                text = parts[3][1:] if parts[3].startswith(":") else parts[3]
+                event = ChatEvent(network=self.config.host, channel=parts[2],
+                                  nick=sender, text=text, received=int(time.time()))
+                reply = handle_line(event, self.submit, info=self._info)
+                if reply is not None:
+                    self._send(f"NOTICE {sender} :{reply}" if self.config.reply_private
+                               else f"PRIVMSG {self.config.channel} :{reply}")
+            elif parts[0] == "ERROR":
                 raise PermissionError(f"registration refused: {line}")
-            if len(parts) > 1 and parts[1] == "433":
+            elif command == "433":
                 retries += 1
                 if retries > 3:
                     raise PermissionError("nick exhausted after 433 replies")
                 nick += "_"
                 self._send(f"NICK {nick}")
-                continue
-            if len(parts) > 1 and parts[1] in ("001", "376", "422"):
+            elif command in ("001", "376", "422"):
                 self._send(f"JOIN {self.config.channel}")
-                return
-        raise ConnectionError("connection closed during registration")
-
-    def _reply(self, sender: str, text: str) -> None:
-        if self.config.reply_private:
-            self._send(f"NOTICE {sender} :{text}")
-        else:
-            self._send(f"PRIVMSG {self.config.channel} :{text}")
-
-    def _serve(self, stop=None) -> None:
-        for line in self._lines(stop):
-            log.debug("<< %s", line)
-            parts = line.split(" ", 3)
-            if parts[0] == "PING":
-                self._send("PONG " + line[5:])
-                continue
-            if len(parts) >= 4 and parts[1] == "PRIVMSG":
-                sender = parts[0][1:].split("!", 1)[0]
-                target = parts[2]
-                text = parts[3][1:] if parts[3].startswith(":") else parts[3]
-                if target.lower() != self.config.channel.lower():
-                    continue
-                event = ChatEvent(network=self.config.host, channel=target,
-                                  nick=sender, text=text,
-                                  received=int(time.time()))
-                reply = handle_line(event, self.submit, info=self._info)
-                if reply is not None:
-                    self._reply(sender, reply)
+                log.info("joined %s on %s:%s", self.config.channel,
+                         self.config.host, self.config.port)
+                self._backoff = self.config.reconnect_base
+                joined = True
         raise ConnectionError("connection closed")
 
     def run(self, stop=None) -> int:
         """Connect, serve, and reconnect until stopped or refused."""
         attempts = 0
-        backoff = self.config.reconnect_base
+        self._backoff = self.config.reconnect_base
         while stop is None or not stop.is_set():
             try:
                 self._connect()
-                self._register(stop)
-                log.info("joined %s on %s:%s", self.config.channel,
-                         self.config.host, self.config.port)
-                backoff = self.config.reconnect_base
                 self._serve(stop)
             except PermissionError as exc:
                 log.error("giving up: %s", exc)
@@ -223,8 +210,8 @@ class Bot:
                     and attempts > self.config.max_reconnects):
                 log.error("reconnect budget exhausted")
                 return 1
-            time.sleep(backoff)
-            backoff = min(backoff * 2, self.config.reconnect_cap)
+            time.sleep(self._backoff)
+            self._backoff = min(self._backoff * 2, self.config.reconnect_cap)
         return 0
 
 

@@ -15,7 +15,7 @@ import re
 import sys
 import uuid
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterator
@@ -24,14 +24,13 @@ from . import journal as jn
 from .config import csv_set, parse_kv
 from .errors import BadPattern, JournalError, UnreadableSource
 from .model import Shout, Source, normalize_message, normalize_nick
-from .parsing import DEFAULT_CONFIG, ParserConfig, build_shout, parse
+from .parsing import DEFAULT_CONFIG, SHOUT_PREFIX, ParserConfig, build_shout, parse
 from .parsing import flag_deviation  # noqa: F401 - wrapped by perfbench/launch.py
 
 DEFAULT_CHATLOG_PATTERN = (
     r"^\[(?P<timestamp>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})\] "
     r"<(?P<nick>[^>]+)> (?P<text>.*)$"
 )
-DEFAULT_PREFIX = ";aa "
 
 _TS_FORMATS = (
     "%Y-%m-%d %H:%M:%S",
@@ -49,7 +48,7 @@ class SourceKind(str, Enum):
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Where and how to read one historical source."""
+    """Where and how to read one historical source; a delimiter is one character."""
 
     kind: SourceKind
     path: str
@@ -57,6 +56,10 @@ class SourceSpec:
     mapping: dict | None = None
     timezone: str = "+0000"
     delimiter: str = "\t"
+
+    def __post_init__(self) -> None:
+        if len(self.delimiter) != 1:
+            raise BadPattern(f"delimiter {self.delimiter!r} is not one character")
 
     def compiled_pattern(self) -> re.Pattern:
         try:
@@ -95,13 +98,7 @@ class MiningReport:
     per_source: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "candidates": self.candidates,
-            "duplicates_discarded": self.duplicates_discarded,
-            "kept": self.kept,
-            "per_source": self.per_source,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -191,10 +188,13 @@ def _chatlog_rows(path: str, pattern: re.Pattern) -> Iterator[re.Match | None]:
 
 
 def _json_rows(path: str) -> Iterator:
-    """The records of a JSON array, or of JSON lines; a line that is not
-    JSON is a None row, skipped like an unmatched log line."""
+    """The records of a JSON array, or of JSON lines, told apart by the first
+    non-blank character; a line that is not JSON is a None row, skipped like
+    an unmatched log line."""
     with open(path, encoding="utf-8") as fh:
-        head = fh.read(1)
+        head = " "
+        while head.isspace():
+            head = fh.read(1)
         fh.seek(0)
         if head == "[":
             try:
@@ -218,21 +218,21 @@ def _tabular_rows(path: str, delimiter: str) -> Iterator[dict]:
 
 
 def select_shouts(rows: list[tuple[str, str, int]], mode: str = "prefix", *,
-                  prefix: str = DEFAULT_PREFIX,
                   parser_config: ParserConfig = DEFAULT_CONFIG) -> list[Shout]:
     """Build a candidate shout from each row that is actually a shout.
 
-    prefix: keep prefixed messages, prefix stripped; tags: keep messages
-    carrying one of ``parser_config.ubiquitous_tags``, text untouched; all:
-    keep everything. Each kept row is parsed once, and in prefix mode a
-    dropped row is not parsed at all.
+    prefix: keep messages starting with SHOUT_PREFIX, prefix stripped; tags:
+    keep messages carrying one of ``parser_config.ubiquitous_tags``, text
+    untouched; all: keep everything. Each kept row is parsed once, and in
+    prefix mode a dropped row is not parsed at all.
     """
     if mode == "all":
         return [make_mined_shout(*row, parser_config) for row in rows]
     if mode == "prefix":
-        return [make_mined_shout(nick, message[len(prefix):], created, parser_config)
+        cut = len(SHOUT_PREFIX)
+        return [make_mined_shout(nick, message[cut:], created, parser_config)
                 for nick, message, created in rows
-                if message.startswith(prefix) and message[len(prefix):].strip()]
+                if message.startswith(SHOUT_PREFIX) and message[cut:].strip()]
     if mode == "tags":
         kept = []
         for nick, message, created in rows:
@@ -293,10 +293,7 @@ def import_shouts(journal: jn.Journal, kept: list[Shout]) -> int:
 
 
 def load_source_spec(path: str) -> SourceSpec:
-    """Read one source spec from a key=value file.
-
-    Each key names a SourceSpec field, and a delimiter is one character.
-    """
+    """Read one source spec from a key=value file; each key names a SourceSpec field."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = parse_kv(fh.read())
@@ -309,32 +306,22 @@ def load_source_spec(path: str) -> SourceSpec:
         raise BadPattern(f"{path}: unknown source spec keys {unknown}")
     if "path" not in values:
         raise BadPattern(f"{path}: source spec needs a 'path' entry")
-    if len(values.get("delimiter", "\t")) != 1:
-        raise BadPattern(f"{path}: delimiter {values['delimiter']!r} is not "
-                         f"one character")
     try:
-        kind = SourceKind(values.get("kind", "chatlog"))
+        values["kind"] = SourceKind(values.get("kind", "chatlog"))
     except ValueError as exc:
         raise BadPattern(f"{path}: unknown source kind {values['kind']!r}") from exc
-    mapping = None
     if "mapping" in values:
-        mapping = {}
-        for pair in values["mapping"].split(","):
-            target, _, source_field = pair.partition("=")
-            mapping[target.strip()] = source_field.strip()
-    return SourceSpec(
-        kind=kind,
-        path=values["path"],
-        pattern=values.get("pattern", DEFAULT_CHATLOG_PATTERN),
-        mapping=mapping,
-        timezone=values.get("timezone", "+0000"),
-        delimiter=values.get("delimiter", "\t"),
-    )
+        pairs = (pair.partition("=") for pair in values["mapping"].split(","))
+        values["mapping"] = {target.strip(): source.strip()
+                             for target, _, source in pairs}
+    try:
+        return SourceSpec(**values)
+    except BadPattern as exc:
+        raise BadPattern(f"{path}: {exc}") from exc
 
 
 def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
          key: str = "text", dry_run: bool = False,
-         prefix: str = DEFAULT_PREFIX,
          parser_config: ParserConfig = DEFAULT_CONFIG) -> MiningReport:
     """Full pipeline: read every source, select, dedup, and import.
 
@@ -346,8 +333,7 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
     scanned = 0
     for spec in specs:
         outcome = parse_source(spec)
-        selected = select_shouts(outcome.rows, mode, prefix=prefix,
-                                 parser_config=parser_config)
+        selected = select_shouts(outcome.rows, mode, parser_config=parser_config)
         per_source[spec.path] = {
             "scanned": outcome.scanned,
             "skipped": outcome.skipped,
@@ -377,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dry-run", action="store_true")
     parser.add_argument("--key", choices=("text", "nick-text"), default="text",
                         help="dedup key; nick-text departs from text-only matching")
-    parser.add_argument("--prefix", default=DEFAULT_PREFIX)
     parser.add_argument("--tags",
                         default=",".join(sorted(DEFAULT_CONFIG.ubiquitous_tags)),
                         help="comma-separated ubiquitous tag names for tags mode")
@@ -387,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         specs = [load_source_spec(p) for p in args.source]
         report = mine(specs, args.mode, args.corpus, key=args.key,
-                      dry_run=args.dry_run, prefix=args.prefix,
-                      parser_config=parser_config)
+                      dry_run=args.dry_run, parser_config=parser_config)
     except (BadPattern, JournalError, UnreadableSource) as exc:
         print(f"aa-mine: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,9 @@ from .errors import EmptyMessage
 from .model import (DeviationKind, MessageKind, Shout, Source, Tag, TagForm, TagScope,
                     normalize_message, normalize_nick)
 
+# a chat line starting with this is a shout: aa-bot logs it, and aa-mine's
+# prefix mode keeps it, each with the prefix stripped
+SHOUT_PREFIX = ";aa "
 TRAILING_PUNCT = ".,;:!?"
 QUERY_KEYWORDS = ("tickets", "milestones")
 

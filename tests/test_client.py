@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -124,6 +125,45 @@ class TestPush:
         assert code == EXIT_SPOOLED
         left = [r["data"]["message"] for r in spool_load(config)]
         assert left == ["queued 1", "queued 2"]
+
+
+def tear_last_line(spool):
+    """Cut the spool inside its last record, as a crash mid-append would."""
+    with open(spool, "rb+") as fh:
+        fh.truncate(fh.seek(0, 2) - 10)
+
+
+class TestTornSpool:
+    def test_status_and_push_skip_a_torn_line(self, client_config, live_server):
+        from aa.client import cmd_status
+        spool_append(client_config, "whole")
+        spool_append(client_config, "torn")
+        tear_last_line(client_config.spool)
+        lines = []
+        assert cmd_status(client_config, out=lines.append) == EXIT_OK
+        assert any("1 pending" in line for line in lines)
+
+        lines = []
+        assert push(client_config, out=lines.append) == EXIT_OK
+        assert lines == ["dropped 1 unreadable spool line(s)", "pushed 1"]
+        assert [s.message for s in live_server.store.list_shouts()
+                if not s.message.startswith("push")] == ["whole"]
+        assert spool_load(client_config) == []
+
+    def test_next_shout_after_a_torn_line_is_kept(self, tmp_path):
+        offline = offline_config(tmp_path)
+        spool_append(offline, "torn")
+        tear_last_line(offline.spool)
+        assert cmd_shout(offline, "after the crash", out=lambda *_: None) == EXIT_SPOOLED
+        assert [r["data"]["message"] for r in spool_load(offline)] == ["after the crash"]
+
+    def test_a_spool_of_only_torn_lines_is_removed_by_push(self, client_config):
+        spool_append(client_config, "torn")
+        tear_last_line(client_config.spool)
+        lines = []
+        assert push(client_config, out=lines.append) == EXIT_OK
+        assert lines == ["dropped 1 unreadable spool line(s)", "spool empty"]
+        assert not os.path.exists(client_config.spool)
 
 
 class TestSessionLoop:

@@ -79,3 +79,11 @@ def test_client_env_ignores_unknown_names(tmp_path):
                                 env={"AA_NICK": "eve", "AA_TIMEOUT": "1", "AA_GAP": "9"})
     assert config.nick == "eve"
     assert config.timeout == 10.0
+
+
+def test_parse_kv_hash_inside_a_value_is_kept():
+    values = parse_kv("pattern = ^<(?P<nick>[^>]+)> #aa (?P<text>.*)$\n"
+                      "path = /logs/#aa/team.log\n"
+                      "   # an indented full-line comment\n")
+    assert values == {"pattern": "^<(?P<nick>[^>]+)> #aa (?P<text>.*)$",
+                      "path": "/logs/#aa/team.log"}

@@ -70,10 +70,19 @@ class TestHandleLine:
         assert seen == ["spaced   out   text"]
 
 
-class FakeIrcServer:
-    """Scripted IRC endpoint: accepts connections, records client lines."""
+def welcome_after_user(text):
+    return [":irc.example 001 bot :welcome"] if text.startswith("USER ") else []
 
-    def __init__(self):
+
+class FakeIrcServer:
+    """Scripted IRC endpoint: accepts connections, records client lines.
+
+    ``replies(line)`` gives the lines sent back for each client line; by
+    default the server welcomes the client once it sends USER.
+    """
+
+    def __init__(self, replies=welcome_after_user):
+        self.replies = replies
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
         self.received = []
@@ -112,8 +121,8 @@ class FakeIrcServer:
                 line, buffer = buffer.split(b"\r\n", 1)
                 text = line.decode()
                 self.received.append(text)
-                if text.startswith("USER "):
-                    self.send(":irc.example 001 bot :welcome")
+                for reply in self.replies(text):
+                    self.send(reply)
 
     def send(self, line):
         with self._lock:
@@ -235,6 +244,83 @@ class TestBotWire:
         stop.set()
         irc.drop_connection()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def scripted_irc():
+    """Make FakeIrcServers with scripted replies; all are closed afterwards."""
+    servers = []
+
+    def make(replies):
+        servers.append(FakeIrcServer(replies))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.close()
+
+
+def start_bot(irc, tmp_path):
+    """Run a bot against ``irc`` in a thread; return (stop event, thread, [status])."""
+    config = BotConfig(host="127.0.0.1", port=irc.port, channel="#aa",
+                       nick="lalenia", server_url="http://127.0.0.1:1",
+                       spool=str(tmp_path / "bot-spool.jsonl"),
+                       reconnect_base=0.05, max_reconnects=2)
+    stop, status = threading.Event(), []
+    thread = threading.Thread(target=lambda: status.append(Bot(config).run(stop)),
+                              daemon=True)
+    thread.start()
+    return stop, thread, status
+
+
+class TestRegistration:
+    def test_ping_before_welcome_is_answered(self, scripted_irc, tmp_path):
+        irc = scripted_irc(lambda text: (
+            ["PING :before-welcome"] if text.startswith("USER ") else
+            [":irc.example 001 lalenia :welcome"] if text == "PONG :before-welcome" else
+            []))
+        stop, thread, _ = start_bot(irc, tmp_path)
+        assert irc.wait_for(lambda: "JOIN #aa" in irc.received)
+        assert "PONG :before-welcome" in irc.received
+        stop.set()
+        thread.join(timeout=5)
+
+    def test_nick_in_use_retries_with_underscore_then_joins(self, scripted_irc,
+                                                            tmp_path):
+        irc = scripted_irc(lambda text: (
+            [":irc.example 433 * lalenia :Nickname is already in use"]
+            if text == "NICK lalenia" else
+            [":irc.example 001 lalenia_ :welcome"] if text == "NICK lalenia_" else
+            []))
+        stop, thread, _ = start_bot(irc, tmp_path)
+        assert irc.wait_for(lambda: "JOIN #aa" in irc.received)
+        assert [r for r in irc.received if r.startswith("NICK ")] == \
+            ["NICK lalenia", "NICK lalenia_"]
+        assert irc.received.index("NICK lalenia_") < irc.received.index("JOIN #aa")
+        stop.set()
+        thread.join(timeout=5)
+
+    def test_fourth_nick_in_use_gives_up_without_reconnecting(self, scripted_irc,
+                                                             tmp_path):
+        irc = scripted_irc(lambda text: [":irc.example 433 * x :in use"]
+                           if text.startswith("NICK ") else [])
+        _, thread, status = start_bot(irc, tmp_path)
+        thread.join(timeout=5)
+        assert status == [1]
+        assert irc.connections == 1
+        assert [r for r in irc.received if r.startswith("NICK ")] == [
+            "NICK lalenia", "NICK lalenia_", "NICK lalenia__", "NICK lalenia___"]
+        assert not any(r.startswith("JOIN") for r in irc.received)
+
+    def test_error_before_welcome_gives_up_without_reconnecting(self, scripted_irc,
+                                                               tmp_path):
+        irc = scripted_irc(lambda text: ["ERROR :Closing link: banned"]
+                           if text.startswith("USER ") else [])
+        _, thread, status = start_bot(irc, tmp_path)
+        thread.join(timeout=5)
+        assert status == [1]
+        assert irc.connections == 1
+        assert not any(r.startswith("JOIN") for r in irc.received)
 
 
 def test_spooled_bot_shouts_push_with_original_nick(irc, live_server, tmp_path):

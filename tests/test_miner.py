@@ -132,6 +132,21 @@ class TestParseSource:
         with pytest.raises(UnreadableSource, match="not a JSON array"):
             parse_source(json_spec(dump))
 
+    def test_json_array_after_leading_whitespace(self, tmp_path):
+        dump = tmp_path / "dump.json"
+        rows = [{"author": "bob", "text": "first", "when": 1367505011},
+                {"author": "eve", "text": "second", "when": 1367505012}]
+        dump.write_text("  \n\t" + json.dumps(rows, indent=1) + "\n")
+        outcome = parse_source(json_spec(dump))
+        assert [message for _, message, _ in outcome.rows] == ["first", "second"]
+        assert (outcome.scanned, outcome.skipped) == (2, 0)
+
+    def test_spec_built_in_code_checks_its_delimiter(self, tmp_path):
+        with pytest.raises(BadPattern, match="^delimiter ',,' is not one character$"):
+            SourceSpec(kind=SourceKind.TABULAR_DUMP, path=str(tmp_path / "x.tsv"),
+                       mapping={"nick": "u", "message": "m", "created": "t"},
+                       delimiter=",,")
+
     def test_dump_mapping_required(self, tmp_path):
         dump = tmp_path / "dump.jsonl"
         dump.write_text("{}\n")
@@ -407,6 +422,22 @@ class TestPipeline:
         spec = load_source_spec(str(spec_file))
         outcome = parse_source(spec)
         assert outcome.rows[0][1] == ";aa from spec file"
+
+    def test_spec_file_values_keep_a_hash(self, tmp_path):
+        logs = tmp_path / "#aa"
+        logs.mkdir()
+        log = logs / "team.log"
+        log.write_text("[2013-05-02 14:30:11] <bob> #aa ;aa hashed channel\n"
+                       "[2013-05-02 14:30:12] <eve> #other ;aa elsewhere\n")
+        pattern = r"^\[(?P<timestamp>[^]]+)\] <(?P<nick>[^>]+)> #aa (?P<text>.*)$"
+        spec_file = tmp_path / "source.conf"
+        spec_file.write_text(f"# a full-line comment\npath = {log}\n"
+                             f"pattern = {pattern}\n")
+        spec = load_source_spec(str(spec_file))
+        assert (spec.path, spec.pattern) == (str(log), pattern)
+        outcome = parse_source(spec)
+        assert outcome.rows == [("bob", ";aa hashed channel", 1367505011)]
+        assert (outcome.scanned, outcome.skipped) == (2, 1)
 
     def test_corpus_from_journal(self, store, clock):
         store.receive_shout("bob", "stored text")
