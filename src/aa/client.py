@@ -143,7 +143,8 @@ def spool_append(config: ClientConfig, message: str) -> None:
 
 def spool_read(config: ClientConfig) -> tuple[list[dict], int]:
     """The spool's records, and the number of lines skipped because they are
-    not a JSON object (such as a line cut off mid-append)."""
+    not a JSON object with a text ``data.message`` (such as a line cut off
+    mid-append)."""
     records, skipped = [], 0
     if not os.path.exists(config.spool):
         return records, skipped
@@ -152,9 +153,10 @@ def spool_read(config: ClientConfig) -> tuple[list[dict], int]:
             if line.strip():
                 try:
                     record = json.loads(line)
-                except ValueError:
-                    record = None
-                if isinstance(record, dict):
+                    message = record["data"]["message"]
+                except (ValueError, LookupError, TypeError):
+                    message = None
+                if isinstance(message, str):
                     records.append(record)
                 else:
                     skipped += 1

@@ -268,12 +268,15 @@ def _end_last_line(fd: int, path: str) -> None:
 def read_records(path: str) -> Iterator[JournalRecord]:
     """Yield journal records in order; a torn final line is tolerated.
 
-    Raises JournalError unless the seqs run 1, 2, 3, ... without a gap.
+    Raises JournalError if the file cannot be opened, or unless the seqs
+    run 1, 2, 3, ... without a gap.
     """
-    if not os.path.exists(path):
-        return
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise JournalError(f"{path}: {exc.strerror}") from exc
     expected = 1
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

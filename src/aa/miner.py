@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import uuid
@@ -159,7 +160,7 @@ def parse_source(spec: SourceSpec) -> ParsedSource:
                 usable.append((nick, message, created))
             else:
                 skipped += 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise UnreadableSource(f"cannot read {spec.path}: {exc}") from exc
     return ParsedSource(usable, scanned, skipped)
 
@@ -191,7 +192,7 @@ def _json_rows(path: str) -> Iterator:
     """The records of a JSON array, or of JSON lines, told apart by the first
     non-blank character; a line that is not JSON is a None row, skipped like
     an unmatched log line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         head = " "
         while head.isspace():
             head = fh.read(1)
@@ -213,7 +214,7 @@ def _json_rows(path: str) -> Iterator:
 
 
 def _tabular_rows(path: str, delimiter: str) -> Iterator[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
         yield from csv.DictReader(fh, delimiter=delimiter)
 
 
@@ -343,8 +344,10 @@ def mine(specs: list[SourceSpec], mode: str, corpus_path: str | None, *,
         all_candidates.extend(selected)
     importing = bool(corpus_path) and not dry_run
     with (jn.Journal(corpus_path) if importing else nullcontext()) as journal:
+        # a dry run may name a corpus that only the real import creates
         state = (journal.state if journal else
-                 jn.replay(corpus_path) if corpus_path else jn.ReplayState())
+                 jn.replay(corpus_path) if corpus_path and os.path.exists(corpus_path)
+                 else jn.ReplayState())
         kept, report = dedup(all_candidates, corpus_from_journal(state, key),
                              key=key, scanned=scanned, per_source=per_source)
         if journal:

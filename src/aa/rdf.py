@@ -5,9 +5,10 @@ property is functional except nick and email; shouts must carry a user,
 a message, and a creation time, and users must carry a nick. Those two
 constraint families are what validate_graph checks.
 
-Every term carries its N-Triples form, rendered once when the term is
-built. Validation and both serializers group, sort and compare those
-strings; a term's form is unique to it, so equal strings mean equal terms.
+A term is its N-Triples string, as Canonical N-Triples makes the rendered
+form a term's identity: an IRI is ``<...>``, a blank node ``_:label``, a
+literal its quoted, escaped lexical form, tagged unless it is a string.
+Validation and both serializers group, sort and compare those strings.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from . import journal as jn
@@ -36,33 +37,6 @@ SCHEMA_NS = "http://schema.org/"
 SIOC_NS = "http://rdfs.org/sioc/ns#"
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
-    nt: str = field(init=False, compare=False, repr=False)  # N-Triples form
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nt", f"<{self.value}>")
-
-    def render(self) -> str:
-        return self.nt
-
-
-@dataclass(frozen=True)
-class Blank:
-    label: str
-    nt: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nt", f"_:{self.label}")
-
-    def render(self) -> str:
-        return self.nt
-
-
-XSD_STRING = Iri(XSD_NS + "string")
-XSD_DATETIME = Iri(XSD_NS + "dateTime")
-
 # backslash, quote, CR, LF and tab take their short escapes, the other C0
 # controls \uXXXX; everything else, U+007F included, stays as it is
 _ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)}
@@ -77,52 +51,42 @@ def _escape(lexical: str) -> str:
     return lexical.translate(_ESCAPES)
 
 
-@dataclass(frozen=True)
-class Literal:
-    """Typed literal; strings render plain, other datatypes are tagged."""
-
-    lexical: str
-    datatype: Iri = XSD_STRING
-    nt: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        rendered = f'"{_escape(self.lexical)}"'
-        if self.datatype.nt != XSD_STRING.nt:
-            rendered += f"^^{self.datatype.nt}"
-        object.__setattr__(self, "nt", rendered)
-
-    def render(self) -> str:
-        return self.nt
+def iri(value: str) -> str:
+    return f"<{value}>"
 
 
-Term = Iri | Blank | Literal
+XSD_STRING = iri(XSD_NS + "string")
+XSD_DATETIME = iri(XSD_NS + "dateTime")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri | Blank
-    predicate: Iri
-    object: Term
-
-    def render(self) -> str:
-        return f"{self.subject.nt} {self.predicate.nt} {self.object.nt} ."
+def literal(lexical: str, datatype: str = XSD_STRING) -> str:
+    """A typed literal; strings render plain, other datatypes are tagged."""
+    if datatype == XSD_STRING:
+        return f'"{_escape(lexical)}"'
+    return f'"{_escape(lexical)}"^^{datatype}'
 
 
-RDF_TYPE = Iri(RDF_NS + "type")
-RDFS_SUBCLASS = Iri(RDFS_NS + "subClassOf")
-RDFS_SUBPROP = Iri(RDFS_NS + "subPropertyOf")
-RDFS_COMMENT = Iri(RDFS_NS + "comment")
-RDFS_DOMAIN = Iri(RDFS_NS + "domain")
-RDFS_RANGE = Iri(RDFS_NS + "range")
-RDFS_LITERAL = Iri(RDFS_NS + "Literal")
-OWL_CLASS = Iri(OWL_NS + "Class")
-OWL_ONTOLOGY = Iri(OWL_NS + "Ontology")
-OWL_OBJECT_PROP = Iri(OWL_NS + "ObjectProperty")
-OWL_DATA_PROP = Iri(OWL_NS + "DatatypeProperty")
-OWL_FUNCTIONAL = Iri(OWL_NS + "FunctionalProperty")
-OWL_RESTRICTION = Iri(OWL_NS + "Restriction")
-OWL_ON_PROPERTY = Iri(OWL_NS + "onProperty")
-OWL_SOME_VALUES = Iri(OWL_NS + "someValuesFrom")
+class Triple(NamedTuple):
+    subject: str
+    predicate: str
+    object: str
+
+
+RDF_TYPE = iri(RDF_NS + "type")
+RDFS_SUBCLASS = iri(RDFS_NS + "subClassOf")
+RDFS_SUBPROP = iri(RDFS_NS + "subPropertyOf")
+RDFS_COMMENT = iri(RDFS_NS + "comment")
+RDFS_DOMAIN = iri(RDFS_NS + "domain")
+RDFS_RANGE = iri(RDFS_NS + "range")
+RDFS_LITERAL = iri(RDFS_NS + "Literal")
+OWL_CLASS = iri(OWL_NS + "Class")
+OWL_ONTOLOGY = iri(OWL_NS + "Ontology")
+OWL_OBJECT_PROP = iri(OWL_NS + "ObjectProperty")
+OWL_DATA_PROP = iri(OWL_NS + "DatatypeProperty")
+OWL_FUNCTIONAL = iri(OWL_NS + "FunctionalProperty")
+OWL_RESTRICTION = iri(OWL_NS + "Restriction")
+OWL_ON_PROPERTY = iri(OWL_NS + "onProperty")
+OWL_SOME_VALUES = iri(OWL_NS + "someValuesFrom")
 
 
 # characters quote() leaves as they are
@@ -132,7 +96,7 @@ _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")
 class Vocabulary:
     """Term mint for a configurable base IRI.
 
-    Vocabulary terms live under ``<base>ns#``, one shared Iri per name;
+    Vocabulary terms live under ``<base>ns#``, one shared string per name;
     instances under ``<base><kind>/<id>``, the id percent-encoded.
     """
 
@@ -157,20 +121,20 @@ class Vocabulary:
     def __init__(self, base: str = DEFAULT_BASE):
         self.base = base if base.endswith(("/", "#")) else base + "/"
         self.ns = self.base + "ns#"
-        self._terms: dict[str, Iri] = {}
+        self._terms: dict[str, str] = {}
 
-    def term(self, name: str) -> Iri:
+    def term(self, name: str) -> str:
         term = self._terms.get(name)
         if term is None:
-            term = self._terms[name] = Iri(self.ns + name)
+            term = self._terms[name] = iri(self.ns + name)
         return term
 
-    def instance(self, kind: str, identifier: str) -> Iri:
+    def instance(self, kind: str, identifier: str) -> str:
         if _UNRESERVED.fullmatch(identifier) is None:
             identifier = quote(identifier, safe="")
-        return Iri(f"{self.base}{kind}/{identifier}")
+        return iri(f"{self.base}{kind}/{identifier}")
 
-    def functional_properties(self) -> set[Iri]:
+    def functional_properties(self) -> set[str]:
         names = set(self.OBJECT_PROPS) | set(self.DATA_PROPS)
         return {self.term(n) for n in names - self.NON_FUNCTIONAL}
 
@@ -182,16 +146,16 @@ class Vocabulary:
 
 # class/property links into widely used vocabularies
 UPPER_MAPPINGS = (
-    ("User", RDFS_SUBCLASS, Iri(FOAF_NS + "Agent")),
-    ("Shout", RDFS_SUBCLASS, Iri(SIOC_NS + "Post")),
-    ("Shout", RDFS_SUBCLASS, Iri(SCHEMA_NS + "Message")),
-    ("Session", RDFS_SUBCLASS, Iri(SCHEMA_NS + "Event")),
-    ("ValidationReview", RDFS_SUBCLASS, Iri(SCHEMA_NS + "Review")),
-    ("nick", RDFS_SUBPROP, Iri(FOAF_NS + "nick")),
-    ("email", RDFS_SUBPROP, Iri(SCHEMA_NS + "email")),
-    ("shoutMessage", RDFS_SUBPROP, Iri(SIOC_NS + "content")),
-    ("created", RDFS_SUBPROP, Iri(DCT_NS + "created")),
-    ("score", RDFS_SUBPROP, Iri(SCHEMA_NS + "ratingValue")),
+    ("User", RDFS_SUBCLASS, iri(FOAF_NS + "Agent")),
+    ("Shout", RDFS_SUBCLASS, iri(SIOC_NS + "Post")),
+    ("Shout", RDFS_SUBCLASS, iri(SCHEMA_NS + "Message")),
+    ("Session", RDFS_SUBCLASS, iri(SCHEMA_NS + "Event")),
+    ("ValidationReview", RDFS_SUBCLASS, iri(SCHEMA_NS + "Review")),
+    ("nick", RDFS_SUBPROP, iri(FOAF_NS + "nick")),
+    ("email", RDFS_SUBPROP, iri(SCHEMA_NS + "email")),
+    ("shoutMessage", RDFS_SUBPROP, iri(SIOC_NS + "content")),
+    ("created", RDFS_SUBPROP, iri(DCT_NS + "created")),
+    ("score", RDFS_SUBPROP, iri(SCHEMA_NS + "ratingValue")),
 )
 
 
@@ -199,9 +163,9 @@ def export_ontology(vocab: Vocabulary | None = None) -> list[Triple]:
     """Class, property, constraint, and upper-vocabulary mapping axioms."""
     vocab = vocab or Vocabulary()
     triples: list[Triple] = []
-    ontology = Iri(vocab.ns.rstrip("#"))
+    ontology = iri(vocab.ns.rstrip("#"))
     triples.append(Triple(ontology, RDF_TYPE, OWL_ONTOLOGY))
-    triples.append(Triple(ontology, RDFS_COMMENT, Literal(
+    triples.append(Triple(ontology, RDFS_COMMENT, literal(
         "Activity-logging vocabulary; also aligned, by intent only, with the "
         "GNDO and OPS vocabularies (no term IRIs are asserted for those).")))
 
@@ -223,7 +187,7 @@ def export_ontology(vocab: Vocabulary | None = None) -> list[Triple]:
 
     for class_name, props in vocab.EXISTENTIAL.items():
         for prop in props:
-            node = Blank(f"must-{class_name.lower()}-{prop.lower()}")
+            node = f"_:must-{class_name.lower()}-{prop.lower()}"
             values_from = (vocab.term(vocab.OBJECT_PROPS[prop][1])
                            if prop in vocab.OBJECT_PROPS else RDFS_LITERAL)
             triples.append(Triple(vocab.term(class_name), RDFS_SUBCLASS, node))
@@ -235,7 +199,7 @@ def export_ontology(vocab: Vocabulary | None = None) -> list[Triple]:
         triples.append(Triple(vocab.term(name), relation, target))
     for name in sorted(vocab.EXTENSIONS):
         triples.append(Triple(vocab.term(name), RDFS_COMMENT,
-                              Literal("extension term beyond the core vocabulary")))
+                              literal("extension term beyond the core vocabulary")))
     return triples
 
 
@@ -248,51 +212,51 @@ def export_data(shouts: Sequence[Shout], sessions: Iterable[Session] = (),
     triples: list[Triple] = []
     add = triples.append
     # user and session IRIs recur on every shout; mint each one once per export
-    minted: dict[tuple[str, str], Iri] = {}
+    minted: dict[tuple[str, str], str] = {}
 
-    def instance(kind: str, identifier: str) -> Iri:
-        iri = minted.get((kind, identifier))
-        if iri is None:
-            iri = minted[kind, identifier] = vocab.instance(kind, identifier)
-        return iri
+    def instance(kind: str, identifier: str) -> str:
+        node = minted.get((kind, identifier))
+        if node is None:
+            node = minted[kind, identifier] = vocab.instance(kind, identifier)
+        return node
 
     for user in users_from_shouts(shouts).values():
         node = instance("user", user.id)
         add(Triple(node, RDF_TYPE, term("User")))
         for nick in sorted(user.nicks):
-            add(Triple(node, term("nick"), Literal(nick)))
+            add(Triple(node, term("nick"), literal(nick)))
 
     for shout in shouts:
         node = vocab.instance("shout", shout.id)
         add(Triple(node, RDF_TYPE, term("Shout")))
         add(Triple(node, term("user"), instance("user", shout.nick)))
-        add(Triple(node, term("shoutMessage"), Literal(shout.message)))
+        add(Triple(node, term("shoutMessage"), literal(shout.message)))
         add(Triple(node, term("created"),
-                   Literal(iso8601(shout.created), XSD_DATETIME)))
+                   literal(iso8601(shout.created), XSD_DATETIME)))
         if shout.session_ref:
             add(Triple(node, term("session"), instance("session", shout.session_ref)))
         if shout.client_created is not None:
             add(Triple(node, term("clientCreated"),
-                       Literal(iso8601(shout.client_created), XSD_DATETIME)))
+                       literal(iso8601(shout.client_created), XSD_DATETIME)))
 
     for session in sessions:
         node = instance("session", session.id)
         add(Triple(node, RDF_TYPE, term("Session")))
         add(Triple(node, term("sessionStart"),
-                   Literal(iso8601(session.start), XSD_DATETIME)))
+                   literal(iso8601(session.start), XSD_DATETIME)))
         add(Triple(node, term("sessionEnd"),
-                   Literal(iso8601(session.end), XSD_DATETIME)))
+                   literal(iso8601(session.end), XSD_DATETIME)))
         if session.screencast:
-            add(Triple(node, term("screencast"), Literal(session.screencast)))
+            add(Triple(node, term("screencast"), literal(session.screencast)))
 
     for review in reviews:
         node = vocab.instance("review", review.session)
         add(Triple(node, RDF_TYPE, term("ValidationReview")))
         add(Triple(node, term("session"), instance("session", review.session)))
         add(Triple(node, term("reviewer"), instance("user", review.reviewer)))
-        add(Triple(node, term("score"), Literal(f"{review.score:g}")))
+        add(Triple(node, term("score"), literal(f"{review.score:g}")))
         add(Triple(node, term("created"),
-                   Literal(iso8601(review.created), XSD_DATETIME)))
+                   literal(iso8601(review.created), XSD_DATETIME)))
     return triples
 
 
@@ -302,23 +266,19 @@ class Violation:
     property: str
     rule: str
 
-    def to_dict(self) -> dict:
-        return {"subject": self.subject, "property": self.property,
-                "rule": self.rule}
-
 
 def _group(triples: Iterable[Triple]) -> dict[str, dict[str, set[str]]]:
-    """Subject -> predicate -> objects, each term by its N-Triples form."""
+    """Subject -> predicate -> objects."""
     grouped: dict[str, dict[str, set[str]]] = {}
-    for triple in triples:
-        predicates = grouped.get(triple.subject.nt)
+    for subject, predicate, obj in triples:
+        predicates = grouped.get(subject)
         if predicates is None:
-            predicates = grouped[triple.subject.nt] = {}
-        objects = predicates.get(triple.predicate.nt)
+            predicates = grouped[subject] = {}
+        objects = predicates.get(predicate)
         if objects is None:
-            predicates[triple.predicate.nt] = {triple.object.nt}
+            predicates[predicate] = {obj}
         else:
-            objects.add(triple.object.nt)
+            objects.add(obj)
     return grouped
 
 
@@ -330,7 +290,7 @@ def validate_graph(triples: Iterable[Triple],
     (subject, property) pair.
     """
     vocab = vocab or Vocabulary()
-    functional = {p.nt for p in vocab.functional_properties()}
+    functional = vocab.functional_properties()
     values = _group(triples)
     clashes = sorted((subject, predicate)
                      for subject, predicates in values.items()
@@ -338,15 +298,15 @@ def validate_graph(triples: Iterable[Triple],
                      if len(objects) > 1 and predicate in functional)
     violations = [Violation(subject, predicate, "functional")
                   for subject, predicate in clashes]
-    required = [(vocab.term(class_name).nt, [vocab.term(p).nt for p in props])
+    required = [(vocab.term(class_name), [vocab.term(p) for p in props])
                 for class_name, props in vocab.EXISTENTIAL.items()]
     for subject in sorted(values):
         predicates = values[subject]
-        types = predicates.get(RDF_TYPE.nt)
+        types = predicates.get(RDF_TYPE)
         if types is None:
             continue
-        for class_nt, props in required:
-            if class_nt in types:
+        for class_term, props in required:
+            if class_term in types:
                 violations.extend(Violation(subject, prop, "existential")
                                   for prop in props if prop not in predicates)
     return violations
@@ -354,7 +314,7 @@ def validate_graph(triples: Iterable[Triple],
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
     """Canonical N-Triples: sorted (subject, predicate, object), one per line."""
-    lines = sorted({t.render() for t in triples})
+    lines = sorted({f"{s} {p} {o} ." for s, p, o in triples})
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -390,17 +350,16 @@ def serialize_turtle(triples: Iterable[Triple],
         preds = grouped[subject]
         lines = []
         for predicate in sorted(preds):
-            rendered = "a" if predicate == RDF_TYPE.nt else term(predicate)
+            rendered = "a" if predicate == RDF_TYPE else term(predicate)
             objects = ", ".join(sorted(term(o) for o in preds[predicate]))
             lines.append(f"    {rendered} {objects}")
         out.append(term(subject) + "\n" + " ;\n".join(lines) + " .")
     return "\n".join(out) + "\n"
 
 
-def export_journal(journal_path: str, base: str = DEFAULT_BASE,
+def export_journal(journal_path: str, vocab: Vocabulary,
                    include_ontology: bool = True) -> list[Triple]:
     """Ontology plus instance triples for everything in a journal."""
-    vocab = Vocabulary(base)
     state = jn.replay(journal_path)
     triples = export_ontology(vocab) if include_ontology else []
     triples += export_data(state.shouts, state.sessions.values(),
@@ -424,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
 
     vocab = Vocabulary(args.base)
     try:
-        triples = export_journal(args.journal, args.base,
+        triples = export_journal(args.journal, vocab,
                                  include_ontology=not args.data_only)
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -434,14 +393,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         document = serialize_turtle(triples, vocab)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            print(f"error: {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(document)
 
     if args.validate:
         violations = validate_graph(triples, vocab)
-        json.dump([v.to_dict() for v in violations], sys.stderr, indent=2)
+        json.dump([asdict(v) for v in violations], sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 1 if violations else 0
     return 0

@@ -273,8 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        stopwords = _load_stopwords(args.stopwords)
+    except OSError as exc:
+        print(f"error: {args.stopwords}: {exc.strerror}", file=sys.stderr)
+        return 2
     shouts = state.shouts
-    stopwords = _load_stopwords(args.stopwords)
 
     if args.report == "summary":
         stats = summarize(shouts, state.sessions.values(), state.reviews.values())

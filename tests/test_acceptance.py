@@ -214,7 +214,7 @@ def test_criterion_5_rdf_constraint_suite():
     # duplicate functional value
     seeded = triples + [rdf.Triple(vocab.instance("shout", "s1"),
                                    vocab.term("created"),
-                                   rdf.Literal("2001-01-01T00:00:00Z",
+                                   rdf.literal("2001-01-01T00:00:00Z",
                                                rdf.XSD_DATETIME))]
     violations = rdf.validate_graph(seeded, vocab)
     assert len(violations) == 1 and violations[0].rule == "functional"

@@ -1,6 +1,8 @@
-"""A journal that cannot be decoded stops replay with a JournalError naming the
-file and the seq, and aa-export and aa-stats report it in one line, exit 2."""
+"""A journal that cannot be opened or decoded stops replay with a JournalError
+naming the file (and the seq), and aa-export and aa-stats report it, like any
+other path they cannot open, in one line, exit 2."""
 
+import errno
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from aa import journal as jn
+from aa import rdf, stats
 from aa.errors import JournalError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -79,9 +82,10 @@ def test_bad_session_data_and_unknown_type_are_named(tmp_path):
 TOOLS = {"export": ("aa.rdf", []), "stats": ("aa.stats", ["--report", "graph"])}
 
 
-def run_tool(tool: str, journal: str) -> subprocess.CompletedProcess:
+def run_tool(tool: str, journal: str, *args: str) -> subprocess.CompletedProcess:
     module, extra = TOOLS[tool]
-    return subprocess.run([sys.executable, "-m", module, "--journal", journal, *extra],
+    return subprocess.run([sys.executable, "-m", module, "--journal", journal,
+                           *extra, *args],
                           env={"PYTHONPATH": SRC}, capture_output=True, text=True,
                           timeout=60)
 
@@ -108,3 +112,35 @@ def test_tool_reports_seq_gap_in_one_line(tmp_path, tool):
     path = write_journal(tmp_path / "gap.jsonl",
                          [(1, "shout", GOOD), (3, "shout", {**GOOD, "id": "b"})])
     assert_one_line_error(run_tool(tool, path), ":2: seq 3, expected 2")
+
+
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_tool_reports_missing_journal_in_one_line(tmp_path, tool):
+    path = str(tmp_path / "typo.jsonl")
+    assert_one_line_error(run_tool(tool, path), f"{path}: No such file or directory")
+
+
+@pytest.mark.parametrize("main", [rdf.main, stats.main], ids=["export", "stats"])
+def test_tool_reports_unreadable_journal_in_one_line(tmp_path, monkeypatch, capsys, main):
+    path = write_journal(tmp_path / "j.jsonl", [(1, "shout", GOOD)])
+
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", file)
+
+    monkeypatch.setattr(jn, "open", refuse, raising=False)  # even root is refused
+    assert main(["--journal", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: Permission denied\n")
+
+
+def test_export_reports_an_unwritable_output_in_one_line(tmp_path):
+    path = write_journal(tmp_path / "j.jsonl", [(1, "shout", GOOD)])
+    output = str(tmp_path / "missing" / "x.nt")
+    assert_one_line_error(run_tool("export", path, "-o", output),
+                          f"error: {output}: No such file or directory")
+
+
+def test_stats_reports_a_missing_stopword_file_in_one_line(tmp_path):
+    path = write_journal(tmp_path / "j.jsonl", [(1, "shout", GOOD)])
+    stopwords = str(tmp_path / "sw.txt")
+    assert_one_line_error(run_tool("stats", path, "--stopwords", stopwords),
+                          f"error: {stopwords}: No such file or directory")

@@ -165,6 +165,17 @@ class TestTornSpool:
         assert lines == ["dropped 1 unreadable spool line(s)", "spool empty"]
         assert not os.path.exists(client_config.spool)
 
+    def test_push_drops_objects_without_a_text_message(self, client_config, live_server):
+        spool_append(client_config, "whole")
+        with open(client_config.spool, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "shout"}\n{"data": []}\n{"data": {"message": 5}}\n')
+        lines = []
+        assert push(client_config, out=lines.append) == EXIT_OK
+        assert lines == ["dropped 3 unreadable spool line(s)", "pushed 1"]
+        assert [s.message for s in live_server.store.list_shouts()
+                if not s.message.startswith("push")] == ["whole"]
+        assert not os.path.exists(client_config.spool)
+
 
 class TestSessionLoop:
     def test_all_prompts_answered_is_ideal(self, tmp_path, live_server):

@@ -141,6 +141,20 @@ class TestParseSource:
         assert [message for _, message, _ in outcome.rows] == ["first", "second"]
         assert (outcome.scanned, outcome.skipped) == (2, 0)
 
+    def test_a_latin1_byte_mines_the_same_text_in_every_source_kind(self, tmp_path):
+        chatlog = tmp_path / "irc.log"
+        chatlog.write_bytes(b"[2013-05-02 14:30:11] <bob> caf\xe9 open\n")
+        lines = tmp_path / "dump.jsonl"
+        lines.write_bytes(b'{"author": "bob", "text": "caf\xe9 open", "when": 1367505011}\n')
+        table = tmp_path / "dump.tsv"
+        table.write_bytes(b"author\ttext\twhen\nbob\tcaf\xe9 open\t1367505011\n")
+        specs = [chatlog_spec(chatlog), json_spec(lines),
+                 SourceSpec(kind=SourceKind.TABULAR_DUMP, path=str(table),
+                            mapping={"nick": "author", "message": "text",
+                                     "created": "when"})]
+        rows = [parse_source(spec).rows for spec in specs]
+        assert rows == [[("bob", "caf\ufffd open", 1367505011)]] * 3
+
     def test_spec_built_in_code_checks_its_delimiter(self, tmp_path):
         with pytest.raises(BadPattern, match="^delimiter ',,' is not one character$"):
             SourceSpec(kind=SourceKind.TABULAR_DUMP, path=str(tmp_path / "x.tsv"),
@@ -413,6 +427,15 @@ class TestPipeline:
         assert report.candidates == 1
         per_source = report.per_source[str(log)]
         assert per_source == {"scanned": 3, "skipped": 1, "candidates": 1}
+
+    def test_dry_run_against_a_corpus_not_yet_created(self, tmp_path):
+        log = tmp_path / "irc.log"
+        log.write_text("[2013-05-02 14:30:11] <bob> ;aa first note\n"
+                       "[2013-05-02 14:31:11] <bob> ;aa first note\n")
+        corpus = tmp_path / "new.jsonl"
+        report = mine([chatlog_spec(log)], "prefix", str(corpus), dry_run=True)
+        assert (report.candidates, report.kept) == (2, 1)
+        assert not corpus.exists()
 
     def test_spec_file_round_trip(self, tmp_path):
         log = tmp_path / "irc.log"
