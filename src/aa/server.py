@@ -29,7 +29,7 @@ from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from .config import load_config
-from .errors import AAError
+from .errors import AAError, JournalError
 from .model import Source, parse_iso8601
 from .store import Store
 
@@ -227,8 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
-    store = Store(config.journal, slot=config.slot, tolerance=config.tolerance,
-                  parser_config=config.parser_config())
+    try:
+        store = Store(config.journal, slot=config.slot, tolerance=config.tolerance,
+                      parser_config=config.parser_config())
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     server = create_server(store, config.host, config.port)
     host, port = server.server_address[:2]
     log.info("serving on http://%s:%s journal=%s", host, port, config.journal)

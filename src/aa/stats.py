@@ -246,7 +246,8 @@ def cooccurrence(shouts: Sequence[Shout],
 def _load_stopwords(path: str | None) -> frozenset[str]:
     if not path:
         return frozenset()
-    with open(path, encoding="utf-8") as fh:
+    # a bad byte is read as U+FFFD, as in every aa-mine source
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 

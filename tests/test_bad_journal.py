@@ -1,6 +1,6 @@
 """A journal that cannot be opened or decoded stops replay with a JournalError
-naming the file (and the seq), and aa-export and aa-stats report it, like any
-other path they cannot open, in one line, exit 2."""
+naming the file (and the seq or line), and aa-export, aa-stats and aa-server
+report it, like any other path they cannot open, in one line, exit 2."""
 
 import errno
 import json
@@ -144,3 +144,51 @@ def test_stats_reports_a_missing_stopword_file_in_one_line(tmp_path):
     stopwords = str(tmp_path / "sw.txt")
     assert_one_line_error(run_tool("stats", path, "--stopwords", stopwords),
                           f"error: {stopwords}: No such file or directory")
+
+
+def test_stats_reads_a_bad_byte_in_the_stopword_file_as_replacement(tmp_path, capsys):
+    path = write_journal(tmp_path / "j.jsonl", [(1, "shout", GOOD)])
+    stopwords = tmp_path / "sw.txt"
+    stopwords.write_bytes(b"caf\xe9\nhello\n")
+    assert stats._load_stopwords(str(stopwords)) == {"caf\ufffd", "hello"}
+    assert stats.main(["--journal", path, "--report", "tokens", "--tsv",
+                       "--stopwords", str(stopwords)]) == 0
+    assert "hello" not in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.jsonl"
+
+
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_tool_reports_a_journal_line_that_is_not_utf8_in_one_line(tmp_path, tool):
+    first, rest = GOLDEN.read_bytes().split(b"\n", 1)
+    assert b'"start"' in first
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(first.replace(b'"start"', b'"st\xe9rt"', 1) + b"\n" + rest)
+    assert_one_line_error(run_tool(tool, str(path)), f"{path}:1: not UTF-8 (")
+
+
+def run_server(journal: str) -> subprocess.CompletedProcess:
+    # a server that got past its journal would bind and serve until the timeout
+    return subprocess.run([sys.executable, "-m", "aa.server", "--journal", journal,
+                           "--host", "127.0.0.1", "--port", "0"],
+                          env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_server_reports_a_seq_gap_in_one_line(tmp_path):
+    path = write_journal(tmp_path / "gap.jsonl",
+                         [(1, "shout", GOOD), (3, "shout", {**GOOD, "id": "b"})])
+    assert_one_line_error(run_server(path), f"error: {path}:2: seq 3, expected 2")
+
+
+def test_server_reports_a_journal_held_by_another_writer_in_one_line(tmp_path):
+    path = str(tmp_path / "j.jsonl")
+    with jn.Journal(path):
+        done = run_server(path)
+    assert_one_line_error(done, f"error: journal {path} is locked by another writer")
+
+
+def test_server_reports_a_missing_directory_in_one_line(tmp_path):
+    path = str(tmp_path / "missing" / "j.jsonl")
+    assert_one_line_error(run_server(path), f"error: cannot open journal {path}: ")

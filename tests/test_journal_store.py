@@ -8,6 +8,7 @@ import tempfile
 import threading
 import uuid
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from aa.miner import import_shouts
 from aa.model import (
     DeviationKind,
     MessageKind,
+    Session,
+    SessionOrigin,
     Shout,
     Source,
     Tag,
@@ -892,6 +895,103 @@ class TestShoutCodec:
         shout = jn.shout_from_dict({"id": "i", "nick": "n", "message": "m",
                                     "created": 1})
         assert shout == Shout("i", "n", "m", 1)
+
+    def test_every_field_set_off_its_default_round_trips(self, tmp_path):
+        # each field holds a value of its own, so a decode that puts one in
+        # another field's place cannot compare equal
+        shout = Shout(id="i", nick="n", message="m", created=5,
+                      source=Source.CHAT, kind=MessageKind.LOST_TIMESLOT,
+                      tags=(Tag(TagForm.PLUS, "t", TagScope.SESSION),),
+                      session_ref="s", deviation=DeviationKind.INTRO_TEST,
+                      client_created=3, topic="tp")
+        assert all(getattr(shout, f.name) != f.default for f in fields(Shout))
+        path = str(tmp_path / "j.jsonl")
+        with jn.Journal(path) as journal:
+            journal.append_many([("shout", jn.shout_to_dict(shout))], written=1)
+        (replayed,) = jn.replay(path).shouts
+        for f in fields(Shout):
+            assert getattr(replayed, f.name) == getattr(shout, f.name), f.name
+        assert replayed == shout and hash(replayed) == hash(shout)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def keyword_shout(data: dict) -> Shout:
+    return Shout(
+        id=data["id"], nick=data["nick"], message=data["message"],
+        created=data["created"], source=Source(data.get("source", "http")),
+        kind=MessageKind(data.get("kind", "shout")),
+        tags=tuple(Tag(form=TagForm(t["form"]), name=t["name"],
+                       scope=TagScope(t["scope"])) for t in data.get("tags", [])),
+        session_ref=data.get("session"),
+        deviation=DeviationKind(data["deviation"]) if data.get("deviation") else None,
+        client_created=data.get("client_created"), topic=data.get("topic"))
+
+
+def keyword_session(data: dict) -> Session:
+    return Session(
+        id=data["id"], user=data["user"],
+        origin=SessionOrigin(data.get("origin", "explicit")),
+        start=data["start"], end=data["end"],
+        slot_duration=data.get("slot", 900), shouts=tuple(data.get("shouts", ())),
+        screencast=data.get("screencast"))
+
+
+class TestRecordDecode:
+    @pytest.mark.parametrize("name", ["golden.jsonl", "golden-dup-id.jsonl"])
+    def test_golden_replay_equals_keyword_built_values(self, name):
+        path = str(GOLDEN / name)
+        records = list(jn.read_records(path))
+        state = jn.replay(path)
+        shouts = [keyword_shout(r.data) for r in records if r.type == "shout"]
+        sessions = {}
+        for r in records:
+            if r.type == "session":
+                sessions[r.data["id"]] = keyword_session(r.data)
+        assert len(shouts) == len(state.shouts) > 0 and len(sessions) > 0
+        for replayed, built in zip(state.shouts, shouts):
+            assert replayed == built and hash(replayed) == hash(built)
+        assert state.sessions == sessions
+        for sid, built in sessions.items():
+            assert hash(state.sessions[sid]) == hash(built)
+        assert state.last_created == max(s.created for s in shouts)
+
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "{}", "1", "null",
+                                      '{"seq": 1, "written": 1, "type": "shout"}'])
+    def test_a_line_that_is_not_a_whole_record_is_incomplete(self, tmp_path, line):
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps({"seq": 1, "written": 1, "type": "t", "data": {}})
+                        + "\n" + line + "\n")
+        with pytest.raises(JournalError, match=f"^{path}:2: incomplete record$"):
+            list(jn.read_records(str(path)))
+
+    @pytest.mark.parametrize("tail", [b'{"seq": 2, "writ', b"[1", b"\xe9",
+                                      '{"seq": 2, "d": "\u00e9'.encode()[:-1]],
+                             ids=["cut-json", "cut-list", "bad-byte", "cut-character"])
+    def test_a_torn_tail_stops_reading_and_is_cut_on_open(self, tmp_path, tail):
+        path = tmp_path / "j.jsonl"
+        with jn.Journal(str(path)) as journal:
+            journal.append_many([shout_item("a")], written=1)
+        whole = path.read_bytes()
+        path.write_bytes(whole + tail)
+        assert [r.seq for r in jn.read_records(str(path))] == [1]
+        with jn.Journal(str(path)) as journal:
+            assert journal.state.last_seq == 1
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("line", [2, 1])
+    def test_a_whole_line_that_is_not_utf8_is_named(self, tmp_path, line):
+        path = tmp_path / "j.jsonl"
+        lines = [json.dumps({"seq": seq, "written": 1, "type": "shout",
+                             "data": shout_item(f"s{seq}")[1]}).encode() + b"\n"
+                 for seq in (1, 2)]
+        lines[line - 1] = lines[line - 1].replace(b'"working"', b'"caf\xe9"')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(JournalError,
+                           match=rf"^{path}:{line}: not UTF-8 \(invalid continuation "
+                                 rf"byte at offset \d+\)$"):
+            jn.replay(str(path))
 
 
 class TestReplayEquivalence:

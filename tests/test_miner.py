@@ -15,6 +15,7 @@ from aa.errors import BadPattern, UnreadableSource
 from aa.miner import (
     SourceKind,
     SourceSpec,
+    _parse_timestamp,
     corpus_from_journal,
     dedup,
     dedup_key,
@@ -166,6 +167,89 @@ class TestParseSource:
         dump.write_text("{}\n")
         with pytest.raises(BadPattern):
             parse_source(SourceSpec(kind=SourceKind.JSON_DUMP, path=str(dump)))
+
+
+TS_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d")
+
+
+def strptime_timestamp(value, offset: int) -> int:
+    """_parse_timestamp through strptime alone: the reference for its fast path."""
+    if isinstance(value, (int, float)):
+        return int(value)
+    text = str(value).strip()
+    if re.fullmatch(r"\d{9,}", text):
+        return int(text)
+    for fmt in TS_FORMATS:
+        try:
+            naive = datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+        return int(naive.replace(tzinfo=timezone.utc).timestamp()) - offset
+    raise ValueError(f"unparseable timestamp {value!r}")
+
+
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                                       "\uff15\uff16\uff17\uff18\uff19")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                          "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def timestamp_texts(draw) -> str:
+    """Texts near the four _TS_FORMATS shapes: padded or not, in range or
+    not, any separator, blanks around, and digits of other scripts."""
+    def field(top: int, width: int = 2) -> str:
+        n = draw(st.integers(0, top))
+        return f"{n:0{width}d}" if draw(st.booleans()) else str(n)
+
+    text = f"{field(10000, 4)}-{field(13)}-{field(32)}"
+    parts = draw(st.integers(0, 2))
+    if parts:
+        text += draw(st.sampled_from([" ", "T", "t", "  ", "\t", "_", ""]))
+        text += f"{field(25)}:{field(61)}"
+        if parts == 2:
+            text += f":{field(61)}"
+    digits = draw(st.sampled_from([None, None, None, FULLWIDTH, ARABIC_INDIC]))
+    if digits:
+        text = text.translate(digits)
+    blank = st.sampled_from(["", "", " ", "\t", "\n", "\u3000"])
+    return draw(blank) + text + draw(blank)
+
+
+class TestParseTimestamp:
+    @settings(max_examples=400, deadline=None)
+    @given(text=timestamp_texts(), offset=st.integers(-14 * 3600, 14 * 3600))
+    def test_equals_strptime(self, text, offset):
+        try:
+            expected = strptime_timestamp(text, offset)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _parse_timestamp(text, offset)
+        else:
+            assert _parse_timestamp(text, offset) == expected
+
+    @pytest.mark.parametrize("text", [
+        "2013-05-02 14:30:11", "2013-05-02T14:30:11", "2013-05-02 14:30",
+        "2013-05-02", " 2013-05-02 14:30:11\n", "2013".translate(FULLWIDTH) + "-05-02",
+        "2013-5-2 4:30:11", "2013-05-02t14:30:11", "2013-05-02  14:30"])
+    def test_each_format_and_variant_parses_as_strptime(self, text):
+        assert _parse_timestamp(text, 3600) == strptime_timestamp(text, 3600)
+
+    @pytest.mark.parametrize("text", [
+        "2013-05-02T14:30", "2013-02-30", "2013-13-02", "2013-05-02 24:00:00",
+        "2013-05-02 23:59:60", "2013-05-02 14:30:11+01:00", "2013-05-02 14:30:11.5",
+        "20130502", "2013-W18-4", ""])
+    def test_other_shapes_are_refused(self, text):
+        with pytest.raises(ValueError):
+            strptime_timestamp(text, 0)
+        with pytest.raises(ValueError):
+            _parse_timestamp(text, 0)
+
+    @pytest.mark.parametrize("value", [1367505011, 1367505011.9, "1367505011",
+                                       "1367505011".translate(ARABIC_INDIC)])
+    def test_epoch_seconds_ignore_the_offset(self, value):
+        assert _parse_timestamp(value, 3600) == 1367505011
+        assert strptime_timestamp(value, 3600) == 1367505011
 
 
 def mined(text, nick="bob", created=0):
