@@ -11,7 +11,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, NamedTuple
@@ -30,10 +29,6 @@ from .model import (
     TagScope,
     ValidationReview,
 )
-
-SHOUT = "shout"
-SESSION = "session"
-REVIEW = "review"
 
 EVENT_OPEN = "open"
 EVENT_CLOSE = "close"
@@ -66,23 +61,23 @@ def shout_to_dict(shout: Shout) -> dict:
     }
 
 
-class _Members(dict):
-    """Value -> member of one enum; an unknown value is a ValueError."""
+class _Table(dict):
+    """A lookup table whose missing key is a ValueError naming what was sought."""
 
-    def __init__(self, enum_type: type[Enum], field_name: str):
-        super().__init__({m.value: m for m in enum_type})
-        self.field_name = field_name
+    def __init__(self, entries: dict, what: str):
+        super().__init__(entries)
+        self.what = what
 
-    def __missing__(self, value):
-        raise ValueError(f"unknown {self.field_name} {value!r}")
+    def __missing__(self, key):
+        raise ValueError(f"unknown {self.what} {key!r}")
 
 
-_SOURCES = _Members(Source, "source")
-_KINDS = _Members(MessageKind, "kind")
-_DEVIATIONS = _Members(DeviationKind, "deviation")
-_TAG_FORMS = _Members(TagForm, "tag form")
-_TAG_SCOPES = _Members(TagScope, "tag scope")
-_ORIGINS = _Members(SessionOrigin, "origin")
+_SOURCES = _Table({m.value: m for m in Source}, "source")
+_KINDS = _Table({m.value: m for m in MessageKind}, "kind")
+_DEVIATIONS = _Table({m.value: m for m in DeviationKind}, "deviation")
+_TAG_FORMS = _Table({m.value: m for m in TagForm}, "tag form")
+_TAG_SCOPES = _Table({m.value: m for m in TagScope}, "tag scope")
+_ORIGINS = _Table({m.value: m for m in SessionOrigin}, "origin")
 
 
 # bounded, so a server that runs for months does not keep every tag it decodes
@@ -97,25 +92,27 @@ def shout_from_dict(data: dict) -> Shout:
         raise ValueError(f"tags is not a list: {tags!r}")
     deviation = data.get("deviation")
     # positional, in field order, as keywords cost a third more per shout
-    return Shout(
-        data["id"],
-        data["nick"],
-        data["message"],
-        data["created"],
-        _SOURCES[data.get("source", "http")],
-        _KINDS[data.get("kind", "shout")],
-        tuple(_tag(t["form"], t["name"], t["scope"]) for t in tags),
-        data.get("session"),
-        _DEVIATIONS[deviation] if deviation else None,
-        data.get("client_created"),
-        data.get("topic"),
-    )
+    return Shout(data["id"], data["nick"], data["message"], data["created"],
+                 _SOURCES[data.get("source", "http")], _KINDS[data.get("kind", "shout")],
+                 tuple(_tag(t["form"], t["name"], t["scope"]) for t in tags),
+                 data.get("session"), _DEVIATIONS[deviation] if deviation else None,
+                 data.get("client_created"), data.get("topic"))
 
 
-def session_to_dict(session: Session, event: str, *,
-                    report: dict | None = None, validator: str | None = None) -> dict:
+class SessionEvent(NamedTuple):
+    """A session record: the event, the session after it, and, for a close,
+    the conformance report and the validator."""
+
+    event: str
+    session: Session
+    report: dict | None = None
+    validator: str | None = None
+
+
+def session_to_dict(item: SessionEvent) -> dict:
+    session = item.session
     return {
-        "event": event,
+        "event": item.event,
         "id": session.id,
         "user": session.user,
         "origin": session.origin.value,
@@ -124,22 +121,18 @@ def session_to_dict(session: Session, event: str, *,
         "slot": session.slot_duration,
         "shouts": list(session.shouts),
         "screencast": session.screencast,
-        "report": report,
-        "validator": validator,
+        "report": item.report,
+        "validator": item.validator,
     }
 
 
-def session_from_dict(data: dict) -> Session:
-    return Session(
-        id=data["id"],
-        user=data["user"],
-        origin=_ORIGINS[data.get("origin", "explicit")],
-        start=data["start"],
-        end=data["end"],
-        slot_duration=data.get("slot", DEFAULT_SLOT),
-        shouts=tuple(data.get("shouts", ())),
-        screencast=data.get("screencast"),
-    )
+def session_from_dict(data: dict) -> SessionEvent:
+    # positional, in field order, like shout_from_dict
+    session = Session(data["id"], data["user"], _ORIGINS[data.get("origin", "explicit")],
+                      data["start"], data["end"], data.get("slot", DEFAULT_SLOT),
+                      tuple(data.get("shouts", ())), data.get("screencast"))
+    return SessionEvent(data.get("event", EVENT_CLOSE), session, data.get("report"),
+                        data.get("validator"))
 
 
 def review_to_dict(review: ValidationReview) -> dict:
@@ -153,13 +146,25 @@ def review_to_dict(review: ValidationReview) -> dict:
 
 
 def review_from_dict(data: dict) -> ValidationReview:
-    return ValidationReview(
-        session=data["session"],
-        reviewer=data["reviewer"],
-        score=data["score"],
-        comment=data.get("comment"),
-        created=data["created"],
-    )
+    return ValidationReview(data["session"], data["reviewer"], data["score"],
+                            data.get("comment"), data["created"])
+
+
+Item = Shout | SessionEvent | ValidationReview
+
+# model type -> (record type, encoder), and record type -> decoder: with the
+# codecs above, the only code that knows a record's shape
+_ENCODERS = _Table({Shout: ("shout", shout_to_dict),
+                    SessionEvent: ("session", session_to_dict),
+                    ValidationReview: ("review", review_to_dict)}, "journal item type")
+DECODERS = _Table({"shout": shout_from_dict, "session": session_from_dict,
+                   "review": review_from_dict}, "record type")
+
+
+def encode(item: Item) -> tuple[str, dict]:
+    """A model object's record type and data; ValueError for another type."""
+    rtype, to_dict = _ENCODERS[type(item)]
+    return rtype, to_dict(item)
 
 
 class Journal:
@@ -198,26 +203,24 @@ class Journal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def append_many(self, items: list[tuple[str, dict]],
-                    written: int) -> list[JournalRecord]:
-        """Append records in one write and fsync, then apply them to ``state``.
+    def append_many(self, items: list[Item], written: int) -> list[JournalRecord]:
+        """Encode model objects, append them in one write and fsync, then
+        install them in ``state``.
 
-        A failed write or fsync is cut back off the file, leaving the file and
-        ``state`` as they were, and raises JournalError. A failed fsync is not
-        retried, as the kernel may have dropped the pages it could not write:
-        after one, or after a failed cut, every append is refused until the
-        journal is reopened, which replays what the file really holds.
+        An item that cannot be encoded raises before anything is written. A
+        failed write or fsync is cut back off the file and raises JournalError.
+        Either way the file and ``state`` stay as they were. A failed fsync is
+        not retried, as the kernel may have dropped the pages it could not
+        write: after one, or after a failed cut, every append is refused until
+        the journal is reopened, which replays what the file really holds.
         """
         if self._refusal:
             raise JournalError(self._refusal)
         first = self.state.last_seq + 1
-        records = [JournalRecord(first + i, written, rtype, data)
-                   for i, (rtype, data) in enumerate(items)]
-        payload = "".join(
-            json.dumps({"seq": r.seq, "written": r.written, "type": r.type,
-                        "data": r.data}, sort_keys=True) + "\n"
-            for r in records
-        ).encode()
+        records = [JournalRecord(first + i, written, *encode(item))
+                   for i, item in enumerate(items)]
+        payload = "".join(json.dumps(r._asdict(), sort_keys=True) + "\n"
+                          for r in records).encode()
         fd = self._fh.fileno()
         size = os.fstat(fd).st_size
         step = "write"
@@ -236,8 +239,8 @@ class Journal:
                 self._refusal = (f"journal {self.path} refuses writes after a failed "
                                  f"{step} ({exc}); reopen it")
             raise JournalError(f"journal {step} failed: {exc}") from exc
-        for record in records:
-            self.state.apply(record)
+        for record, item in zip(records, items):
+            self.state.install(record.seq, item)
         return records
 
     def close(self) -> None:
@@ -360,41 +363,41 @@ class ReplayState:
     last_created: int = 0
 
     def apply(self, record: JournalRecord) -> None:
-        self.last_seq = record.seq
-        if record.type == SHOUT:
-            shout = shout_from_dict(record.data)
-            self.shouts.append(shout)
-            self.by_created.add(shout)
-            index = self.by_nick.get(shout.nick)
+        """Decode a record and install it; a decode that raises changes nothing."""
+        self.install(record.seq, DECODERS[record.type](record.data))
+
+    def install(self, seq: int, item: Item) -> None:
+        """Add the model object of record ``seq``; reads only its attributes."""
+        self.last_seq = seq
+        if type(item) is Shout:
+            self.shouts.append(item)
+            self.by_created.add(item)
+            index = self.by_nick.get(item.nick)
             if index is None:
-                index = self.by_nick[shout.nick] = CreatedIndex()
-            index.add(shout)
-            self.shouts_by_id[shout.id] = shout
-            if shout.created > self.last_created:
-                self.last_created = shout.created
-            if shout.session_ref and shout.kind in (MessageKind.SHOUT,
-                                                    MessageKind.LOST_TIMESLOT):
-                self.members.setdefault(shout.session_ref, []).append(shout.id)
-        elif record.type == SESSION:
-            session = session_from_dict(record.data)
-            event = record.data.get("event", EVENT_CLOSE)
-            if event == EVENT_OPEN:
+                index = self.by_nick[item.nick] = CreatedIndex()
+            index.add(item)
+            self.shouts_by_id[item.id] = item
+            if item.created > self.last_created:
+                self.last_created = item.created
+            if item.session_ref and item.kind in (MessageKind.SHOUT,
+                                                  MessageKind.LOST_TIMESLOT):
+                self.members.setdefault(item.session_ref, []).append(item.id)
+        elif type(item) is SessionEvent:
+            session = item.session
+            if item.event == EVENT_OPEN:
                 # a (re)opened session starts with a clean member list
                 self.members[session.id] = []
                 self.open_sessions[session.user] = session.id
-            elif event == EVENT_CLOSE:
+            elif item.event == EVENT_CLOSE:
                 if self.open_sessions.get(session.user) == session.id:
                     del self.open_sessions[session.user]
-                if record.data.get("report") is not None:
-                    self.reports[session.id] = record.data["report"]
-                if record.data.get("validator"):
-                    self.validators[session.id] = record.data["validator"]
+                if item.report is not None:
+                    self.reports[session.id] = item.report
+                if item.validator:
+                    self.validators[session.id] = item.validator
             self.sessions[session.id] = session
-        elif record.type == REVIEW:
-            review = review_from_dict(record.data)
-            self.reviews[review.session] = review
         else:
-            raise JournalError(f"unknown record type {record.type!r}")
+            self.reviews[item.session] = item
 
 
 def replay(path: str) -> ReplayState:
@@ -410,7 +413,7 @@ def replay(path: str) -> ReplayState:
         except KeyError as exc:
             raise JournalError(f"{path}: seq {record.seq}: bad {record.type} "
                                f"record: missing key {exc}") from exc
-        except (AttributeError, JournalError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise JournalError(f"{path}: seq {record.seq}: bad {record.type} "
                                f"record: {exc}") from exc
     return state

@@ -24,7 +24,7 @@ from typing import Iterator
 from . import journal as jn
 from .config import csv_set, parse_kv
 from .errors import BadPattern, JournalError, UnreadableSource
-from .model import Shout, Source, normalize_message, normalize_nick
+from .model import Shout, Source, check_timestamp, normalize_message, normalize_nick
 from .parsing import DEFAULT_CONFIG, SHOUT_PREFIX, ParserConfig, build_shout, parse
 from .parsing import flag_deviation  # noqa: F401 - wrapped by perfbench/launch.py
 
@@ -156,7 +156,7 @@ def parse_source(spec: SourceSpec) -> ParsedSource:
 
     A row is skipped when it is unmatched (a log line the pattern does not
     match, a dump line that is not JSON) or incomplete, or when its
-    timestamp is bad or its nick or text is blank.
+    timestamp is bad or outside UTC years 1-9999, or its nick or text is blank.
     """
     offset = spec.utc_offset()
     rows, (nick_key, text_key, time_key) = _rows(spec)
@@ -165,7 +165,7 @@ def parse_source(spec: SourceSpec) -> ParsedSource:
         for row in rows:
             scanned += 1
             try:
-                created = _parse_timestamp(row[time_key], offset)
+                created = check_timestamp(_parse_timestamp(row[time_key], offset))
                 message = normalize_message(row[text_key])
                 nick = normalize_nick(row[nick_key])
             except Exception:  # noqa: BLE001 - unmatched (None) or malformed row
@@ -303,7 +303,7 @@ def import_shouts(journal: jn.Journal, kept: list[Shout]) -> int:
     if not kept:
         return 0
     written = int(datetime.now(timezone.utc).timestamp())
-    journal.append_many([(jn.SHOUT, jn.shout_to_dict(s)) for s in kept], written)
+    journal.append_many(kept, written)
     return len(kept)
 
 

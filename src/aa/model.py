@@ -155,6 +155,13 @@ def normalize_message(raw: str) -> str:
     return " ".join(raw.split())
 
 
+def check_timestamp(ts: int) -> int:
+    """``ts`` itself if it falls in UTC years 1-9999, the years datetime holds."""
+    if not -62135596800 <= ts <= 253402300799:
+        raise ValueError(f"timestamp {ts} is outside UTC years 1-9999")
+    return ts
+
+
 def iso8601(ts: int) -> str:
     """Render epoch seconds as an ISO 8601 UTC timestamp."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))

@@ -86,17 +86,6 @@ def classify_kind(raw: str) -> MessageKind:
     return MessageKind.SHOUT
 
 
-def extract_tags(raw: str) -> tuple[list[Tag], str]:
-    """Pull #-tags and +-tags out of a message.
-
-    Returns the tags in order of appearance and the remaining text with
-    every marker token removed (so re-extraction finds nothing).
-    """
-    tags, plain = _scan(raw)
-    clean_text = " ".join(token for _, token in plain)
-    return [tag for _, tag in tags], clean_text
-
-
 def _word_tags(plain: list[tuple[int, str]],
                lexicon: frozenset[str] | set[str]) -> list[tuple[int, Tag]]:
     """Positioned word tags for lexicon words at the first and last plain token.
@@ -110,16 +99,6 @@ def _word_tags(plain: list[tuple[int, str]],
         if word in lexicon:
             found.append((pos, Tag(TagForm.WORD, word, TagScope.UNTIL_NEXT_TAG)))
     return found
-
-
-def detect_word_tags(raw: str, lexicon: frozenset[str] | set[str]) -> list[Tag]:
-    """Lexicon words at the first or last position become word tags.
-
-    Marker tokens are not words, so positions are taken over the tag-free
-    token sequence; interior occurrences are ignored.
-    """
-    _, plain = _scan(raw)
-    return list(dict.fromkeys(tag for _, tag in _word_tags(plain, lexicon)))
 
 
 def parse(raw: str, config: ParserConfig = DEFAULT_CONFIG) -> ParseResult:

@@ -30,18 +30,19 @@ from urllib.parse import parse_qs, urlsplit
 
 from .config import load_config
 from .errors import AAError, JournalError
-from .model import Source, parse_iso8601
+from .model import Source, check_timestamp, parse_iso8601
 from .store import Store
 
 log = logging.getLogger("aa.server")
 
 MAX_BODY = 1 << 20  # bytes; far above any real request, as aa push sends one item each
 
-Timestamp = int  # epoch seconds, sent as an int, a decimal string or ISO 8601
+Timestamp = int  # epoch seconds in UTC years 1-9999: an int, a decimal string or ISO 8601
 
 
 def _timestamp(value: int | str) -> int:
-    return int(value) if type(value) is int or value.isdecimal() else parse_iso8601(value)
+    ts = int(value) if type(value) is int or value.isdecimal() else parse_iso8601(value)
+    return check_timestamp(ts)
 
 
 # per annotated type: its reader, and the JSON types a value may have besides text
@@ -66,9 +67,10 @@ def decode(params: dict, spec: dict[str, tuple[str, object]]) -> dict:
             if type(value) not in (str, *json_types):  # exact: a bool is no int
                 raise TypeError
             values[name] = read(value)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError) as exc:  # float() of a huge int
+            why = f": {exc}" if exc.args else ""  # names a bad field of a batch item
             raise ValueError(f"parameter {name!r} must be {kind}, "
-                             f"got {value!r:.60}") from None
+                             f"got {value!r:.60}{why}") from None
     return values
 
 
@@ -100,6 +102,9 @@ class ShoutHandler(BaseHTTPRequestHandler):
             raise ValueError(f"Content-Length {length} outside 0..{MAX_BODY}")
         if length:
             body = self.rfile.read(length)
+            if len(body) != length:
+                self.close_connection = True  # the client stopped sending
+                raise ValueError(f"body of {len(body)} bytes, Content-Length {length}")
             if "json" in self.headers.get("Content-Type", ""):
                 payload = json.loads(body)
                 if not isinstance(payload, dict):
@@ -123,6 +128,12 @@ class ShoutHandler(BaseHTTPRequestHandler):
     def _send_error_code(self, code: str, detail: str, status: int) -> None:
         self._send_json({"error": code, "detail": detail}, status=status)
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:  # a broken pipe or a reset: the client hung up,
+            self.close_connection = True  # so no one is left to answer
+
     def _dispatch(self, method: str) -> None:
         try:
             parts = urlsplit(self.path)
@@ -136,6 +147,8 @@ class ShoutHandler(BaseHTTPRequestHandler):
             self._send_error_code(exc.code, str(exc), exc.http_status)
         except ValueError as exc:
             self._send_error_code("bad_request", str(exc), 400)
+        except ConnectionError:
+            raise  # for handle_one_request
         except Exception:  # noqa: BLE001 - keep the server alive
             log.exception("unhandled error for %s", self.path)
             self._send_error_code("internal", "unhandled server error", 500)

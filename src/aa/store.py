@@ -2,9 +2,9 @@
 
 State is held in memory and every accepted mutation is journaled before it
 becomes visible, so replaying the journal reproduces the live state. The
-store's state is its ``Journal``'s: each mutation hands its records to
-``Journal.append_many``, which writes them in one write and applies them
-only once that write is durable.
+store's state is its ``Journal``'s: each mutation hands the model objects
+it made to ``Journal.append_many``, which writes them in one write and
+installs them only once that write is durable.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class Store:
             shout = parsing.build_shout(
                 uuid.uuid4().hex, nick, message, self._arrival(), self.parser_config,
                 source=source, session_ref=session_ref, client_created=client_created)
-            self.journal.append_many([(jn.SHOUT, jn.shout_to_dict(shout))], self._now())
+            self.journal.append_many([shout], self._now())
             return shout
 
     # -- sessions ----------------------------------------------------------
@@ -114,8 +114,8 @@ class Store:
         ids = self.state.members.get(session_id, ())
         return [self.state.shouts_by_id[i] for i in ids]
 
-    def _close_session(self, handle: str,
-                       now: int) -> tuple[Session, dict, str | None, list[Shout]]:
+    def _close_session(self, handle: str, now: int) -> list[Shout | jn.SessionEvent]:
+        """The lost-slot markers of closing ``handle``'s session, then its close."""
         session_id = self.state.open_sessions.get(handle)
         if session_id is None:
             raise NoOpenSession(f"{handle} has no open session")
@@ -140,7 +140,8 @@ class Store:
         except NoEligibleValidator:
             pass
         session = replace(session, shouts=tuple(s.id for s in members + markers))
-        return session, report.to_dict(), validator, markers
+        return [*markers, jn.SessionEvent(jn.EVENT_CLOSE, session, report.to_dict(),
+                                          validator)]
 
     def receive_message(self, nick: str, message: str,
                         batch: Sequence[dict] | None = None) -> dict:
@@ -153,8 +154,7 @@ class Store:
 
             # the message itself is journaled as a shout, with the records it brings
             session_ref = self.state.open_sessions.get(handle)
-            before: list[tuple[str, dict]] = []
-            after: list[tuple[str, dict]] = []
+            before, after = [], []
             if kind is MessageKind.START:
                 # a start inside an open session re-anchors that session
                 event = "reanchored" if session_ref else "opened"
@@ -162,24 +162,21 @@ class Store:
                                   origin=SessionOrigin.EXPLICIT, start=now, end=now,
                                   slot_duration=self.slot)
                 session_ref = session.id
-                after = [(jn.SESSION, jn.session_to_dict(session, jn.EVENT_OPEN))]
+                after = [jn.SessionEvent(jn.EVENT_OPEN, session)]
                 result = {"result": "start", "session": session.id, "event": event}
             elif kind is MessageKind.STOP:
-                session, report, validator, markers = self._close_session(handle, now)
-                session_ref = session.id
-                after = [(jn.SHOUT, jn.shout_to_dict(m)) for m in markers]
-                after.append((jn.SESSION, jn.session_to_dict(
-                    session, jn.EVENT_CLOSE, report=report, validator=validator)))
-                result = {"result": "stop", "session": session.id,
-                          "report": report, "validator": validator}
+                after = self._close_session(handle, now)
+                close = after[-1]
+                session_ref = close.session.id
+                result = {"result": "stop", "session": session_ref,
+                          "report": close.report, "validator": close.validator}
             elif kind is MessageKind.PUSH:
-                flushed = [parsing.build_shout(
+                before = [parsing.build_shout(
                     uuid.uuid4().hex, handle, item["message"], now, self.parser_config,
                     session_ref=session_ref, client_created=item.get("client_created"))
                     for item in batch or ()]
-                before = [(jn.SHOUT, jn.shout_to_dict(s)) for s in flushed]
-                result = {"result": "push", "accepted": len(flushed),
-                          "ids": [s.id for s in flushed]}
+                result = {"result": "push", "accepted": len(before),
+                          "ids": [s.id for s in before]}
             control = parsing.build_shout(uuid.uuid4().hex, handle, message, now,
                                           self.parser_config, session_ref=session_ref)
             if kind is MessageKind.SHOUT:
@@ -187,8 +184,7 @@ class Store:
             elif kind is MessageKind.QUERY:
                 result = {"result": "query", "topic": control.topic, "items": [],
                           "code": "no_backend"}
-            self.journal.append_many(
-                before + [(jn.SHOUT, jn.shout_to_dict(control))] + after, written)
+            self.journal.append_many(before + [control] + after, written)
             return result
 
     def emit_lost(self, session_id: str, slot_index: int) -> Shout:
@@ -199,7 +195,7 @@ class Store:
                 session = replace(session, end=max(session.start, self._arrival()))
             marker = eng.emit_lost_timeslot(session, self._member_shouts(session_id),
                                             slot_index, tolerance=self.tolerance)
-            self.journal.append_many([(jn.SHOUT, jn.shout_to_dict(marker))], self._now())
+            self.journal.append_many([marker], self._now())
             return marker
 
     def attach_screencast(self, session_id: str, url: str) -> Session:
@@ -211,8 +207,8 @@ class Store:
                 raise BadUrl(f"not an http(s) url: {url!r}")
             updated = replace(session, screencast=url,
                               shouts=tuple(self.state.members.get(session_id, ())))
-            data = jn.session_to_dict(updated, jn.EVENT_SCREENCAST)
-            self.journal.append_many([(jn.SESSION, data)], self._now())
+            self.journal.append_many([jn.SessionEvent(jn.EVENT_SCREENCAST, updated)],
+                                     self._now())
             return updated
 
     def record_review(self, session_id: str, reviewer: str, score: float,
@@ -222,8 +218,7 @@ class Store:
             session = self._session(session_id)
             review = eng.make_review(session, normalize_nick(reviewer), score,
                                      comment, created=self._arrival())
-            self.journal.append_many([(jn.REVIEW, jn.review_to_dict(review))],
-                                     self._now())
+            self.journal.append_many([review], self._now())
             return review
 
     # -- queries -----------------------------------------------------------

@@ -22,13 +22,7 @@ from aa.client import ClientConfig, api_shout
 from aa.errors import EmptyMessage, NoOpenSession, SelfReview, UnknownSession
 from aa.ircbot import ChatEvent, handle_line
 from aa.model import MessageKind, Session, SessionOrigin, User
-from aa.parsing import (
-    ParserConfig,
-    detect_word_tags,
-    extract_tags,
-    flag_deviation,
-    parse,
-)
+from aa.parsing import ParserConfig, flag_deviation, parse
 from aa.sessions import assign_validator, conformance
 from aa.server import create_server
 from aa.store import Store
@@ -161,12 +155,10 @@ def test_criterion_4_parser_grammar_and_fuzz():
     ubiq = parse("shipping #aao0 from twitter")
     assert ubiq.ubiquitous and [t.surface for t in ubiq.tags] == ["#aao0"]
     # word tags at the edges of the message
-    lex = frozenset({"coding"})
-    assert [t.name for t in detect_word_tags("coding refactor of timer", lex)] == \
-        ["coding"]
-    assert detect_word_tags("refactor of timer", lex) == []
-    assert [t.name for t in detect_word_tags("timer refactor coding", lex)] == \
-        ["coding"]
+    lex = ParserConfig(word_lexicon=frozenset({"coding"}))
+    assert [t.name for t in parse("coding refactor of timer", lex).tags] == ["coding"]
+    assert parse("refactor of timer", lex).tags == ()
+    assert [t.name for t in parse("timer refactor coding", lex).tags] == ["coding"]
     # deviations
     promo = ParserConfig(promo_keywords=frozenset({"meetup"}))
     assert flag_deviation(parse("come to our meetup! http://x.example", promo),
@@ -194,8 +186,8 @@ def test_criterion_4_parser_grammar_and_fuzz():
         except EmptyMessage:
             assert not raw.strip()
             continue
-        retagged, _ = extract_tags(result.clean_text)
-        assert retagged == []
+        if result.clean_text.strip():
+            assert parse(result.clean_text).tags == ()
         for tag in result.tags:
             assert tag.name and tag.name[0] not in "#+"
     passed(4, "parser grammar and fuzz")

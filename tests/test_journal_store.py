@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from conftest import FakeClock, make_shout
+from conftest import FakeClock, make_session, make_shout
 from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn
@@ -47,8 +47,8 @@ from aa.model import (
 from aa.store import Store, render_text_line, shout_listing_entry
 
 
-def shout_item(shout_id: str) -> tuple[str, dict]:
-    return "shout", jn.shout_to_dict(make_shout(shout_id))
+def shout_item(shout_id: str) -> Shout:
+    return make_shout(shout_id)
 
 
 class TestJournal:
@@ -105,7 +105,7 @@ class TestJournal:
     def test_unterminated_whole_record_is_not_logged(self, tmp_path, caplog):
         path = tmp_path / "j.jsonl"
         path.write_text(json.dumps({"seq": 1, "written": 1, "type": "shout",
-                                    "data": shout_item("a")[1]}))
+                                    "data": jn.shout_to_dict(shout_item("a"))}))
         with caplog.at_level(logging.INFO, logger="aa.journal"):
             journal = jn.Journal(str(path))
         journal.append_many([shout_item("b")], written=2)
@@ -165,6 +165,7 @@ class TestJournal:
         with jn.Journal(path) as journal:
             import_shouts(journal, [mined])
             assert journal.state == jn.replay(path)
+            assert_state_invariants(journal.state, path)
         assert [r.seq for r in jn.read_records(path)] == list(range(1, n + 2))
 
     def test_store_state_is_its_journals(self, store):
@@ -172,6 +173,64 @@ class TestJournal:
         store.receive_shout("bob", "x")
         assert store.state is store.journal.state
         assert store.state.last_seq == 1
+
+    @pytest.mark.parametrize("item", [
+        ("shout", {"id": "a"}),
+        object(),
+        Shout("b", "bob", "x", 1, source="http"),
+        jn.SessionEvent(jn.EVENT_OPEN, Session("s", "bob", "explicit", 0, 0)),
+    ], ids=["type-and-dict", "object", "shout-with-plain-source",
+            "session-with-plain-origin"])
+    def test_an_item_it_cannot_encode_is_refused_before_the_write(
+            self, tmp_path, monkeypatch, item):
+        path = tmp_path / "j.jsonl"
+        with jn.Journal(str(path)) as journal:
+            journal.append_many([shout_item("a")], written=1)
+            before = path.read_bytes()
+            writes = []
+            real_write = os.write
+            monkeypatch.setattr(os, "write", lambda fd, data: writes.append(data)
+                                or real_write(fd, data))
+            with pytest.raises((AttributeError, ValueError)):
+                journal.append_many([shout_item("c"), item], written=2)
+            assert writes == []
+            assert path.read_bytes() == before
+            assert journal.state.last_seq == 1
+            assert journal.state == jn.replay(str(path))
+            journal.append_many([shout_item("c")], written=3)
+        assert [r.data["id"] for r in jn.read_records(str(path))] == ["a", "c"]
+
+    def test_live_mutations_decode_nothing(self, tmp_path, clock, monkeypatch):
+        path = str(tmp_path / "j.jsonl")
+        writer = Store(path, clock=clock)
+        writer.receive_message("ann", "start")
+        writer.close()
+        calls = Counter()
+
+        def counting(rtype, decoder):
+            return lambda data: calls.update([rtype]) or decoder(data)
+
+        for rtype, decoder in list(jn.DECODERS.items()):
+            monkeypatch.setitem(jn.DECODERS, rtype, counting(rtype, decoder))
+        store = Store(path, clock=clock)
+        try:
+            assert calls == Counter({"shout": 1, "session": 1})  # the opening replay
+            calls.clear()
+            sid = store.receive_message("bob", "start")["session"]
+            store.receive_shout("bob", "work")
+            store.receive_message("bob", "push", batch=[{"message": "spooled"}])
+            store.receive_message("bob", "tickets")
+            clock.advance(2 * 900 + 10)
+            store.emit_lost(sid, 1)
+            store.receive_message("bob", "stop")
+            store.attach_screencast(sid, "https://v.example/x")
+            store.record_review(sid, "ann", 0.5)
+            assert store.state.last_seq == 14
+            assert calls == Counter()
+            assert_state_invariants(store.state, path)
+        finally:
+            store.close()
+        assert jn.replay(path) == store.state
 
     def test_store_refused_by_replay_releases_the_lock(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -204,6 +263,14 @@ class TestJournal:
             assert seqs == list(range(1, kept + 2)), cut
             assert reloaded.shouts_json() == live, cut
             reloaded.close()
+
+
+def assert_state_invariants(state: jn.ReplayState, path: str) -> None:
+    """Members name stored shouts, ``last_seq`` counts the file's records, and
+    ``last_created`` is the newest ``created`` (0 for none newer)."""
+    assert all(i in state.shouts_by_id for ids in state.members.values() for i in ids)
+    assert state.last_seq == len(list(jn.read_records(path)))
+    assert state.last_created == max([0] + [s.created for s in state.shouts])
 
 
 class TestIngest:
@@ -340,6 +407,7 @@ class TestCommit:
         assert [r.seq for r in jn.read_records(store.journal.path)] == [1, 2]
         replayed = jn.replay(store.journal.path)
         assert replayed == store.state
+        assert_state_invariants(replayed, store.journal.path)
         assert replayed.by_created.ordered() == store.list_shouts()
         assert [s.message for s in store.list_shouts()] == ["first", "second"]
 
@@ -366,6 +434,7 @@ class TestCommit:
         restarted = Store(store.journal.path, clock=clock)
         try:
             assert restarted.state == store.state
+            assert_state_invariants(restarted.state, store.journal.path)
             restarted.receive_shout("bob", "after the restart")
             assert [r.seq for r in jn.read_records(store.journal.path)] == [1, 2]
         finally:
@@ -731,6 +800,8 @@ def run_steps(steps, check):
                 else:
                     check(store)
             check(store)
+            assert jn.replay(path) == store.state
+            assert_state_invariants(store.state, path)
             store.close()
             store = Store(path, clock=clock)
             check(store)
@@ -907,11 +978,61 @@ class TestShoutCodec:
         assert all(getattr(shout, f.name) != f.default for f in fields(Shout))
         path = str(tmp_path / "j.jsonl")
         with jn.Journal(path) as journal:
-            journal.append_many([("shout", jn.shout_to_dict(shout))], written=1)
+            journal.append_many([shout], written=1)
         (replayed,) = jn.replay(path).shouts
         for f in fields(Shout):
             assert getattr(replayed, f.name) == getattr(shout, f.name), f.name
         assert replayed == shout and hash(replayed) == hash(shout)
+
+
+SESSIONS = st.builds(
+    Session, id=st.text(min_size=1, max_size=8), user=st.text(max_size=8),
+    origin=st.sampled_from(SessionOrigin), start=st.integers(-2**40, 2**40),
+    end=st.integers(-2**40, 2**40), slot_duration=st.integers(1, 3600),
+    shouts=st.lists(st.text(max_size=8), max_size=3).map(tuple),
+    screencast=st.one_of(st.none(), st.text(max_size=8)))
+REPORTS = st.dictionaries(st.text(max_size=6), st.one_of(
+    st.booleans(), st.integers(), st.lists(st.integers(), max_size=3)), max_size=3)
+EVENTS = (jn.EVENT_OPEN, jn.EVENT_CLOSE, jn.EVENT_SCREENCAST)
+SESSION_EVENTS = st.builds(jn.SessionEvent, st.sampled_from(EVENTS), SESSIONS,
+                           st.one_of(st.none(), REPORTS),
+                           st.one_of(st.none(), st.text(max_size=8)))
+REVIEWS = st.builds(
+    ValidationReview, session=st.text(min_size=1, max_size=8),
+    reviewer=st.text(max_size=8), score=st.floats(0, 1),
+    comment=st.one_of(st.none(), st.text(max_size=20)),
+    created=st.integers(-2**40, 2**40))
+
+
+def decode_of_encode(item):
+    rtype, data = jn.encode(item)
+    return jn.DECODERS[rtype](json.loads(json.dumps(data)))
+
+
+class TestRecordCodec:
+    """What the journal encodes, replay decodes to an equal model object."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(SHOUTS, SESSION_EVENTS, REVIEWS))
+    def test_decode_of_encode_is_the_item(self, item):
+        decoded = decode_of_encode(item)
+        assert type(decoded) is type(item)
+        assert decoded == item
+
+    @pytest.mark.parametrize("event", EVENTS)
+    def test_every_session_event_with_and_without_report_and_validator(self, event):
+        session = Session("s", "bob", SessionOrigin.INFERRED, 5, 905, 600, ("a", "b"),
+                          "https://v.example/x")
+        for report in (None, {"ideal": False, "lost_slots": [2], "per_shout": []}):
+            for validator in (None, "eve"):
+                item = jn.SessionEvent(event, session, report, validator)
+                decoded = decode_of_encode(item)
+                assert decoded == item and decoded.session == session
+
+    def test_a_session_record_without_an_event_is_a_close(self):
+        _, data = jn.encode(jn.SessionEvent(jn.EVENT_OPEN, make_session()))
+        del data["event"]
+        assert jn.DECODERS["session"](data).event == jn.EVENT_CLOSE
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -984,7 +1105,8 @@ class TestRecordDecode:
     def test_a_whole_line_that_is_not_utf8_is_named(self, tmp_path, line):
         path = tmp_path / "j.jsonl"
         lines = [json.dumps({"seq": seq, "written": 1, "type": "shout",
-                             "data": shout_item(f"s{seq}")[1]}).encode() + b"\n"
+                             "data": jn.shout_to_dict(shout_item(f"s{seq}"))}).encode()
+                 + b"\n"
                  for seq in (1, 2)]
         lines[line - 1] = lines[line - 1].replace(b'"working"', b'"caf\xe9"')
         path.write_bytes(b"".join(lines))
@@ -1008,6 +1130,8 @@ class TestReplayEquivalence:
         store.close()  # the journal has one writer at a time
 
         reloaded = Store(store.journal.path, clock=clock)
+        assert reloaded.state == store.state
+        assert_state_invariants(reloaded.state, store.journal.path)
         assert reloaded.shouts_json() == store.shouts_json()
         assert json.dumps(reloaded.report(), sort_keys=True) == \
             json.dumps(store.report(), sort_keys=True)

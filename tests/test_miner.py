@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn
-from aa import parsing
+from aa import parsing, rdf, stats
 from aa.errors import BadPattern, UnreadableSource
 from aa.miner import (
     SourceKind,
@@ -161,6 +161,20 @@ class TestParseSource:
             SourceSpec(kind=SourceKind.TABULAR_DUMP, path=str(tmp_path / "x.tsv"),
                        mapping={"nick": "u", "message": "m", "created": "t"},
                        delimiter=",,")
+
+    @pytest.mark.parametrize("when", [99999999999999999999, 1e20, "99999999999999999999",
+                                      -62135596801, "0001-01-01 00:00:00"],
+                             ids=["int", "float", "digits", "before-year-1",
+                                  "year-1-shifted-east"])
+    def test_a_timestamp_datetime_cannot_hold_is_skipped(self, tmp_path, when):
+        dump = tmp_path / "dump.jsonl"
+        rows = [{"author": "bob", "text": "kept", "when": 1367505011},
+                {"author": "eve", "text": "out of range", "when": when}]
+        dump.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        spec = replace(json_spec(dump), timezone="+0100")
+        outcome = parse_source(spec)
+        assert [message for _, message, _ in outcome.rows] == ["kept"]
+        assert (outcome.scanned, outcome.skipped) == (2, 1)
 
     def test_dump_mapping_required(self, tmp_path):
         dump = tmp_path / "dump.jsonl"
@@ -551,6 +565,23 @@ class TestPipeline:
         store.close()
         corpus = corpus_from_journal(jn.replay(store.journal.path))
         assert corpus == {"stored text"}
+
+
+def test_mined_corpus_with_an_out_of_range_row_exports_and_counts(tmp_path, capsys):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text('{"nick": "bob", "msg": "fixed the build #aa", "t": 1367505011}\n'
+                    '{"nick": "eve", "msg": "far future", "t": 99999999999999999999}\n'
+                    '{"nick": "eve", "msg": "wrote docs", "t": "1367505012"}\n')
+    spec = tmp_path / "dump.conf"
+    spec.write_text(f"kind = jsondump\npath = {dump}\n"
+                    "mapping = nick=nick,message=msg,created=t\n")
+    corpus = str(tmp_path / "mined.jsonl")
+    assert mine_main(["--source", str(spec), "--mode", "all", "--corpus", corpus]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kept"], report["per_source"][str(dump)]["skipped"]) == (2, 1)
+    assert rdf.main(["--journal", corpus, "--validate"]) == 0
+    assert stats.main(["--journal", corpus, "--report", "histogram:year"]) == 0
+    assert "2013" in capsys.readouterr().out
 
 
 class TestCliErrors:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aa.errors import EmptyNick
-from aa.model import iso8601, normalize_nick, parse_iso8601
+from aa.model import check_timestamp, iso8601, normalize_nick, parse_iso8601
 
 
 def test_normalize_trims_and_lowercases():
@@ -43,3 +43,14 @@ def test_iso8601_equals_datetime_rendering(ts):
 
 def test_parse_iso8601_naive_is_utc():
     assert parse_iso8601("2013-05-02T14:30:11") == 1367505011
+
+
+def test_check_timestamp_holds_exactly_the_years_datetime_holds():
+    first = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+    last = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+    for ts in (first, 0, last):
+        assert check_timestamp(ts) == ts
+        datetime.fromtimestamp(ts, timezone.utc)
+    for ts in (first - 1, last + 1, 99999999999999999999):
+        with pytest.raises(ValueError, match=f"^timestamp {ts} is outside UTC years"):
+            check_timestamp(ts)

@@ -3,14 +3,9 @@ from hypothesis import given, strategies as st
 
 from aa.errors import EmptyMessage
 from aa.model import DeviationKind, MessageKind, Tag, TagForm, TagScope
-from aa.parsing import (
-    ParserConfig,
-    classify_kind,
-    detect_word_tags,
-    extract_tags,
-    flag_deviation,
-    parse,
-)
+from aa.parsing import ParserConfig, classify_kind, flag_deviation, parse
+
+LEXICON = ParserConfig(word_lexicon=frozenset({"coding"}))
 
 
 class TestClassifyKind:
@@ -39,57 +34,62 @@ class TestClassifyKind:
 
 
 class TestExtractTags:
+    """Marker tags and the text left without them, as parse extracts them."""
+
     def test_hash_tag(self):
-        tags, clean = extract_tags("fixing build #coding")
-        assert tags == [Tag(TagForm.HASH, "coding")]
-        assert clean == "fixing build"
+        result = parse("fixing build #coding")
+        assert result.tags == (Tag(TagForm.HASH, "coding"),)
+        assert result.clean_text == "fixing build"
 
     def test_plus_tags_in_order(self):
-        tags, _ = extract_tags("+django models for sessions +sna")
-        assert tags == [Tag(TagForm.PLUS, "django"), Tag(TagForm.PLUS, "sna")]
+        result = parse("+django models for sessions +sna")
+        assert result.tags == (Tag(TagForm.PLUS, "django"), Tag(TagForm.PLUS, "sna"))
 
     def test_no_tags(self):
-        tags, clean = extract_tags("no tags here")
-        assert tags == []
-        assert clean == "no tags here"
+        result = parse("no tags here")
+        assert result.tags == ()
+        assert result.clean_text == "no tags here"
 
     def test_trailing_punctuation_stripped(self):
-        tags, _ = extract_tags("done with #coding.")
-        assert tags == [Tag(TagForm.HASH, "coding")]
+        assert parse("done with #coding.").tags == (Tag(TagForm.HASH, "coding"),)
 
     def test_names_lowercased(self):
-        tags, _ = extract_tags("#Coding stuff")
-        assert tags == [Tag(TagForm.HASH, "coding")]
+        assert parse("#Coding stuff").tags == (Tag(TagForm.HASH, "coding"),)
 
     def test_bare_marker_removed_without_tag(self):
-        tags, clean = extract_tags("look # here +")
-        assert tags == []
-        assert clean == "look here"
+        result = parse("look # here +")
+        assert result.tags == ()
+        assert result.clean_text == "look here"
 
     def test_empty_input(self):
-        assert extract_tags("") == ([], "")
+        # markers only leave no tags and no text; an empty message is refused
+        result = parse("# +")
+        assert result.tags == ()
+        assert result.clean_text == ""
+        with pytest.raises(EmptyMessage):
+            parse("")
 
 
 class TestWordTags:
     def test_first_token_match(self):
-        tags = detect_word_tags("coding refactor of timer", {"coding"})
-        assert tags == [Tag(TagForm.WORD, "coding", TagScope.UNTIL_NEXT_TAG)]
+        tags = parse("coding refactor of timer", LEXICON).tags
+        assert tags == (Tag(TagForm.WORD, "coding", TagScope.UNTIL_NEXT_TAG),)
 
     def test_lexicon_miss(self):
-        assert detect_word_tags("refactor of timer", {"coding"}) == []
+        assert parse("refactor of timer", LEXICON).tags == ()
 
     def test_last_token_match(self):
         # position rule: scan only the first and last token
         words = "timer refactor coding".split()
         expected = [w for w in (words[0], words[-1]) if w in {"coding"}]
-        tags = detect_word_tags("timer refactor coding", {"coding"})
+        tags = parse("timer refactor coding", LEXICON).tags
         assert [t.name for t in tags] == expected
 
     def test_interior_occurrence_ignored(self):
-        assert detect_word_tags("x coding y", {"coding"}) == []
+        assert parse("x coding y", LEXICON).tags == ()
 
     def test_single_token_yields_one_tag(self):
-        assert len(detect_word_tags("coding", {"coding"})) == 1
+        assert len(parse("coding", LEXICON).tags) == 1
 
 
 class TestParse:
@@ -112,17 +112,13 @@ class TestParse:
         assert result.topic == "tickets"
 
     def test_word_tag_position_order(self):
-        config = ParserConfig(word_lexicon=frozenset({"coding"}))
-        result = parse("#aa coding stuff", config)
+        result = parse("#aa coding stuff", LEXICON)
         assert [t.name for t in result.tags] == ["aa", "coding"]
 
     def test_word_at_both_ends_tagged_twice(self):
-        # parse output is journaled, so it keeps both positions;
-        # detect_word_tags reports the word once
-        config = ParserConfig(word_lexicon=frozenset({"coding"}))
+        # parse output is journaled, so it keeps both positions
         tag = Tag(TagForm.WORD, "coding", TagScope.UNTIL_NEXT_TAG)
-        assert parse("coding x coding", config).tags == (tag, tag)
-        assert detect_word_tags("coding x coding", {"coding"}) == [tag]
+        assert parse("coding x coding", LEXICON).tags == (tag, tag)
 
 
 class TestDeviation:
@@ -156,17 +152,20 @@ def test_parse_deterministic(raw):
     assert parse(raw) == parse(raw)
 
 
-@given(st.text())
+MESSAGES = st.text().filter(str.strip)
+
+
+@given(MESSAGES)
 def test_tag_removal_soundness(raw):
-    tags, clean = extract_tags(raw)
-    assert extract_tags(clean)[0] == []
+    clean = parse(raw).clean_text
+    if clean.strip():
+        assert parse(clean).tags == ()
     assert not any(tok[0] in "#+" for tok in clean.split())
 
 
-@given(st.text())
+@given(MESSAGES)
 def test_tag_closure(raw):
-    tags, _ = extract_tags(raw)
-    for tag in tags:
+    for tag in parse(raw).tags:
         assert tag.name
         assert tag.name[0] not in "#+"
         assert tag.name == tag.name.lower()

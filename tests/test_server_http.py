@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import socket
 import urllib.request
@@ -274,10 +275,17 @@ class TestTypedParameters:
         ("/session/{sid}/review",
          {"reviewer": "alice", "score": 0.5, "comment": 7}, "comment"),
         ("/session/{sid}/lost", {"slot": True}, "slot"),
+        ("/shout", {"nick": "bob", "msg": "x", "client_created": 10**20},
+         "client_created"),
+        ("/message", {"nick": "bob", "msg": "push",
+                      "batch": [{"message": "x", "client_created": 10**20}]},
+         "client_created"),
+        ("/session/{sid}/review", {"reviewer": "alice", "score": 10**400}, "score"),
     ], ids=["nick", "msg", "client_created-list", "client_created-float",
             "client_created-bool", "batch-item", "batch-message", "url", "comment",
-            "slot-bool"])
-    def test_ill_typed_value_is_bad_request(self, live_server, path, body, name):
+            "slot-bool", "client_created-past-9999", "batch-client_created-past-9999",
+            "score-too-large-for-float"])
+    def test_ill_typed_value_is_bad_request(self, live_server, caplog, path, body, name):
         _, started = post_json(live_server.url + "/message",
                                body={"nick": "bob", "msg": "start"})
         journal = Path(live_server.store.journal.path)
@@ -287,6 +295,23 @@ class TestTypedParameters:
         assert (status, result["error"]) == (400, "bad_request")
         assert repr(name) in result["detail"]
         assert journal.read_bytes() == before
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-62135596801",
+                                       "0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:59:59-01:00"])
+    def test_client_created_outside_years_1_to_9999_is_bad_request(self, live_server,
+                                                                     value):
+        url = live_server.url + "/shout"
+        note = {"nick": "bob", "msg": "note", "client_created": value}
+        for status, body in (http_post(url, params=note), http_post(url, body=note)):
+            assert (status, json.loads(body)["error"]) == (400, "bad_request")
+            assert "'client_created'" in json.loads(body)["detail"]
+        edges = ("0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z")
+        for edge in edges:
+            assert http_post(url, params={**note, "client_created": edge})[0] == 200
+        assert [s.client_created for s in live_server.store.list_shouts()] == \
+            [-62135596800, 253402300799]
 
     def test_numeric_client_created_same_from_query_form_and_json(self, live_server):
         url = live_server.url + "/shout"
@@ -359,6 +384,43 @@ class TestRequestBody:
         assert head.split()[1] == b"400"
         assert json.loads(body)["error"] == "bad_request"
         assert get_json(live_server.url + "/shouts", {"format": "json"}) == []
+
+
+    def test_body_shorter_than_content_length_is_refused(self, live_server):
+        host, port = live_server.server_address[:2]
+        body = b"nick=alice&msg=hello+wor"
+        request = (f"POST /shout HTTP/1.1\r\nHost: {host}\r\nContent-Length: 40\r\n"
+                   "Content-Type: application/x-www-form-urlencoded\r\n\r\n")
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request.encode() + body)
+            sock.shutdown(socket.SHUT_WR)  # the client stops sending
+            reply = sock.makefile("rb").read()  # the server closes the connection
+        head, _, answer = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(answer) == {"error": "bad_request",
+                                      "detail": "body of 24 bytes, Content-Length 40"}
+        assert Path(live_server.store.journal.path).read_bytes() == b""
+
+    def test_a_client_that_hangs_up_is_closed_quietly(self, live_server, monkeypatch,
+                                                      caplog, capsys):
+        sent = []
+
+        def hung_up(handler, status, body, content_type):
+            sent.append(status)
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(server.ShoutHandler, "_send", hung_up)
+        host, port = live_server.server_address[:2]
+        with caplog.at_level(logging.DEBUG, logger="aa.server"):
+            for path in ("/shout?nick=bob&msg=gone", "/nope"):
+                with socket.create_connection((host, port), timeout=5) as sock:
+                    sock.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                                 "Content-Length: 0\r\n\r\n".encode())
+                    assert sock.makefile("rb").read() == b""  # closed, no answer
+        assert sent == [200, 404]  # no 500 after either
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert "Traceback" not in capsys.readouterr().err
+        assert [s.message for s in live_server.store.list_shouts()] == ["gone"]
 
 
 class TestServerMain:
