@@ -19,6 +19,8 @@ from .errors import JournalError
 from .model import (
     DEFAULT_SLOT,
     DeviationKind,
+    FIRST_TIMESTAMP,
+    LAST_TIMESTAMP,
     MessageKind,
     Session,
     SessionOrigin,
@@ -44,7 +46,35 @@ class JournalRecord(NamedTuple):
     data: dict
 
 
+def _bad_timestamp(name: str, ts) -> ValueError:
+    if type(ts) is not int:
+        return ValueError(f"{name} is not an int: {ts!r:.60}")
+    return ValueError(f"{name}: timestamp {ts} is outside UTC years 1-9999")
+
+
+def check_shout(shout: Shout) -> Shout:
+    """``shout`` itself if its id, nick and message are text and its
+    timestamps ints in UTC years 1-9999; ValueError otherwise.
+
+    The one rule of both sides: the journal writes no shout that replay
+    would refuse, and replay installs no shout that a writer would refuse.
+    """
+    if not type(shout.id) is type(shout.nick) is type(shout.message) is str:
+        raise ValueError(f"id, nick and message must be text: {shout.id!r:.30}, "
+                         f"{shout.nick!r:.30}, {shout.message!r:.30}")
+    created, client_created = shout.created, shout.client_created
+    # exact types: a bool is no int
+    if type(created) is not int or not FIRST_TIMESTAMP <= created <= LAST_TIMESTAMP:
+        raise _bad_timestamp("created", created)
+    if client_created is not None and (
+            type(client_created) is not int
+            or not FIRST_TIMESTAMP <= client_created <= LAST_TIMESTAMP):
+        raise _bad_timestamp("client_created", client_created)
+    return shout
+
+
 def shout_to_dict(shout: Shout) -> dict:
+    check_shout(shout)
     return {
         "id": shout.id,
         "nick": shout.nick,
@@ -92,11 +122,12 @@ def shout_from_dict(data: dict) -> Shout:
         raise ValueError(f"tags is not a list: {tags!r}")
     deviation = data.get("deviation")
     # positional, in field order, as keywords cost a third more per shout
-    return Shout(data["id"], data["nick"], data["message"], data["created"],
-                 _SOURCES[data.get("source", "http")], _KINDS[data.get("kind", "shout")],
-                 tuple(_tag(t["form"], t["name"], t["scope"]) for t in tags),
-                 data.get("session"), _DEVIATIONS[deviation] if deviation else None,
-                 data.get("client_created"), data.get("topic"))
+    return check_shout(Shout(
+        data["id"], data["nick"], data["message"], data["created"],
+        _SOURCES[data.get("source", "http")], _KINDS[data.get("kind", "shout")],
+        tuple(_tag(t["form"], t["name"], t["scope"]) for t in tags),
+        data.get("session"), _DEVIATIONS[deviation] if deviation else None,
+        data.get("client_created"), data.get("topic")))
 
 
 class SessionEvent(NamedTuple):

@@ -7,9 +7,9 @@ Timestamps are UTC seconds since the epoch, second precision.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from time import gmtime, strftime
 from typing import Iterable
 
 from .errors import EmptyNick
@@ -155,16 +155,25 @@ def normalize_message(raw: str) -> str:
     return " ".join(raw.split())
 
 
+# epoch seconds of the first and last second of UTC years 1-9999
+FIRST_TIMESTAMP, LAST_TIMESTAMP = -62135596800, 253402300799
+
+
 def check_timestamp(ts: int) -> int:
     """``ts`` itself if it falls in UTC years 1-9999, the years datetime holds."""
-    if not -62135596800 <= ts <= 253402300799:
+    if not FIRST_TIMESTAMP <= ts <= LAST_TIMESTAMP:
         raise ValueError(f"timestamp {ts} is outside UTC years 1-9999")
     return ts
 
 
+_YEAR_1000 = -30610224000  # 1000-01-01T00:00:00Z, the first year %Y gives four digits
+
+
 def iso8601(ts: int) -> str:
-    """Render epoch seconds as an ISO 8601 UTC timestamp."""
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
+    """Render epoch seconds in UTC as the xsd:dateTime lexical form."""
+    if ts < _YEAR_1000:  # strftime's %Y does not pad the year to four digits
+        return "%04d-%02d-%02dT%02d:%02d:%02dZ" % gmtime(ts)[:6]
+    return strftime("%Y-%m-%dT%H:%M:%SZ", gmtime(ts))
 
 
 def parse_iso8601(text: str) -> int:

@@ -21,10 +21,15 @@ import argparse
 import json
 import logging
 import re
+import selectors
+import socket
 import sys
+import threading
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from inspect import Parameter, signature
+from io import BytesIO
+from time import monotonic
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
@@ -82,7 +87,39 @@ def _entry(name: str, methods: tuple[str, ...], path: str, handler: Callable) ->
 
 
 class ShoutHandler(BaseHTTPRequestHandler):
+    """Serves one request that ``ShoutServer`` has buffered, through http.server.
+
+    It has no socket: it reads the request from ``rfile`` and writes the
+    whole answer into ``wfile``, both in memory, and the loop sends it.
+    """
+
     protocol_version = "HTTP/1.1"
+
+    def __init__(self, rfile: BytesIO, client_address, server: "ShoutServer",
+                 head_cut: bool = False):
+        self.rfile, self.wfile = rfile, BytesIO()
+        self.client_address, self.server = client_address, server
+        self.head_cut = head_cut  # the client stopped sending inside the head
+
+    def handle(self) -> None:
+        """Serve the one request at ``rfile``'s position."""
+        self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if self.head_cut:  # its end is unknown, so nothing of it is acted on
+            self.send_error(400, "Request head cut short")
+            return False
+        return True
+
+    def handle_expect_100(self) -> bool:
+        return True  # the loop sent the interim 100 if it waited for the body
+
+    def busy(self, limit: int) -> None:
+        """Answer 503 on a connection the server will not read."""
+        self.requestline, self.request_version = "", self.protocol_version
+        self._send_error_code("busy", f"over {limit} open connections", 503)
 
     @property
     def store(self) -> Store:
@@ -95,11 +132,12 @@ class ShoutHandler(BaseHTTPRequestHandler):
 
     def _params(self, query: str) -> dict:
         params = {k: v[0] for k, v in parse_qs(query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
+        text = (self.headers.get("Content-Length") or "0").strip()
+        length = int(text) if text.isdecimal() else -1
         if not 0 <= length <= MAX_BODY:
             # an unread body would be read as the next request
             self.close_connection = True
-            raise ValueError(f"Content-Length {length} outside 0..{MAX_BODY}")
+            raise ValueError(f"Content-Length {text} outside 0..{MAX_BODY}")
         if length:
             body = self.rfile.read(length)
             if len(body) != length:
@@ -128,12 +166,6 @@ class ShoutHandler(BaseHTTPRequestHandler):
     def _send_error_code(self, code: str, detail: str, status: int) -> None:
         self._send_json({"error": code, "detail": detail}, status=status)
 
-    def handle_one_request(self) -> None:
-        try:
-            super().handle_one_request()
-        except ConnectionError:  # a broken pipe or a reset: the client hung up,
-            self.close_connection = True  # so no one is left to answer
-
     def _dispatch(self, method: str) -> None:
         try:
             parts = urlsplit(self.path)
@@ -147,8 +179,6 @@ class ShoutHandler(BaseHTTPRequestHandler):
             self._send_error_code(exc.code, str(exc), exc.http_status)
         except ValueError as exc:
             self._send_error_code("bad_request", str(exc), 400)
-        except ConnectionError:
-            raise  # for handle_one_request
         except Exception:  # noqa: BLE001 - keep the server alive
             log.exception("unhandled error for %s", self.path)
             self._send_error_code("internal", "unhandled server error", 500)
@@ -215,11 +245,223 @@ ROUTES = (
 )
 
 
-def create_server(store: Store, host: str = "127.0.0.1",
-                  port: int = 0) -> ThreadingHTTPServer:
-    server = ThreadingHTTPServer((host, port), ShoutHandler)
-    server.store = store
-    return server
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_MAX_LINE = 65536  # http.server answers a longer request line 414, header line 431
+_MAX_HEADERS = 100  # and 431 past this many header lines
+
+
+def _frame(buf: bytearray, start: int) -> tuple[int, int, bool] | None:
+    """The end of the head, Content-Length and 100-continue wish of the
+    request at ``buf[start:]``; None while its head is incomplete.
+
+    The head ends where http.server stops reading it: at the first empty
+    line, lines ending at LF with or without CR, or, for its 414 and 431
+    answers, after a line longer than 64 KiB or a 101st header line.
+    """
+    length, expect, http11 = None, None, False
+    for count in range(_MAX_HEADERS + 1):
+        end = buf.find(b"\n", start, start + _MAX_LINE) + 1
+        if not end:
+            if len(buf) - start <= _MAX_LINE:  # readline(_MAX_LINE + 1) needs more
+                return None
+            return len(buf), 0, False
+        line, start = buf[start:end], end
+        if line in (b"\r\n", b"\n"):
+            break
+        if not count:
+            http11 = line.rstrip().endswith(b"HTTP/1.1")
+            continue
+        name, _, value = line.partition(b":")
+        name = name.lower()
+        if name == b"content-length" and length is None:
+            value = value.strip()
+            length = int(value) if value.isdigit() else 0  # else the handler answers 400
+        elif name == b"expect" and expect is None:
+            expect = http11 and value.strip().lower() == b"100-continue"
+    return start, length or 0, bool(expect)
+
+
+class _Connection:
+    """A client socket and the bytes the loop holds for it."""
+
+    __slots__ = ("sock", "address", "inbuf", "outbuf", "deadline", "events",
+                 "continued", "closing")
+
+    def __init__(self, sock: socket.socket, address):
+        self.sock, self.address, self.deadline = sock, address, 0.0
+        self.inbuf, self.outbuf = bytearray(), bytearray()
+        self.events = selectors.EVENT_READ
+        self.continued = self.closing = False
+
+
+class ShoutServer:
+    """Serves every connection from one ``selectors`` loop, in the thread that
+    calls ``serve_forever``: the single-process event-driven design of Pai et
+    al., "Flash: An Efficient and Portable Web Server" (USENIX ATC 1999).
+
+    The loop buffers a connection's bytes until a request's head and body are
+    complete, serves the request inline through ``ShoutHandler``, and sends
+    the answer with non-blocking writes. Bytes left after a request are the
+    next one. Requests are served one at a time in arrival order, so a
+    write's fsync blocks the loop for its duration. That costs no
+    concurrency: each write fsyncs under the store lock, which would hold
+    every other request as long.
+    """
+
+    REQUEST_TIMEOUT = 10.0  # seconds from a request's first byte to its last
+    IDLE_TIMEOUT = 10.0  # seconds a connection may wait for its next request
+    MAX_CONNECTIONS = 256  # open at once; one more is answered 503 and closed
+
+    def __init__(self, store: Store, host: str, port: int):
+        self.store = store
+        self.socket = socket.create_server((host, port))
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._connections: set[_Connection] = set()
+        self._next_expiry = float("inf")
+        self._stop = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until ``shutdown``, which this loop sees within ``poll_interval`` s."""
+        self._stopped.clear()
+        try:
+            while not self._stop:
+                now = monotonic()
+                if now >= self._next_expiry:
+                    self._expire(now)
+                timeout = min(poll_interval, self._next_expiry - now)
+                for key, events in self._selector.select(max(timeout, 0)):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._on_event(key.data, events)
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever``, running in another thread, and wait for it."""
+        self._stop = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close every connection and the listening socket."""
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        self.socket.close()
+
+    # -- the loop's steps ---------------------------------------------------
+
+    def _wait(self, conn: _Connection, seconds: float) -> None:
+        conn.deadline = monotonic() + seconds
+        self._next_expiry = min(self._next_expiry, conn.deadline)
+
+    def _expire(self, now: float) -> None:
+        self._next_expiry = float("inf")
+        for conn in list(self._connections):
+            if conn.deadline <= now:
+                log.debug("%s: closed after its deadline", conn.address[0])
+                self._close(conn)
+            else:
+                self._next_expiry = min(self._next_expiry, conn.deadline)
+
+    def _accept(self) -> None:
+        try:
+            sock, address = self.socket.accept()
+        except BlockingIOError:
+            return
+        except OSError as exc:  # say, out of file descriptors: serve the others
+            log.warning("accept failed: %s", exc)
+            return
+        sock.setblocking(False)
+        if len(self._connections) >= self.MAX_CONNECTIONS:
+            handler = ShoutHandler(BytesIO(), address, self)
+            handler.busy(self.MAX_CONNECTIONS)
+            try:
+                sock.send(handler.wfile.getvalue())
+            except OSError:
+                pass
+            sock.close()
+            return
+        conn = _Connection(sock, address)
+        self._wait(conn, self.IDLE_TIMEOUT)
+        self._connections.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _on_event(self, conn: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_READ:
+                data = conn.sock.recv(1 << 16)
+                if not conn.inbuf:
+                    self._wait(conn, self.REQUEST_TIMEOUT)
+                conn.inbuf += data
+                self._serve(conn, eof=not data)
+            if conn.outbuf:
+                del conn.outbuf[:conn.sock.send(conn.outbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:  # a reset or a broken pipe: no one is left to answer
+            self._close(conn)
+            return
+        if conn.closing and not conn.outbuf:
+            self._close(conn)
+            return
+        events = selectors.EVENT_WRITE if conn.outbuf else selectors.EVENT_READ
+        if events != conn.events:  # no reading while an answer waits to go out
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _serve(self, conn: _Connection, eof: bool) -> None:
+        """Serve each complete request in ``conn.inbuf``; at EOF, what is left."""
+        buf, served, rfile = conn.inbuf, 0, None
+        while served < len(buf) and not conn.closing:
+            framed = _frame(buf, served)
+            if not eof:
+                if framed is None:
+                    break
+                head, length, expect = framed
+                if 0 < length <= MAX_BODY and len(buf) < head + length:
+                    if expect and not conn.continued:
+                        conn.outbuf += _CONTINUE
+                        conn.continued = True
+                    break
+            if rfile is None:  # one copy for all the requests pipelined in buf
+                rfile = BytesIO(buf)
+            rfile.seek(served)
+            handler = ShoutHandler(rfile, conn.address, self, head_cut=framed is None)
+            try:
+                handler.handle()
+            except Exception:  # noqa: BLE001 - keep serving the other connections
+                log.exception("unhandled error serving %s", conn.address[0])
+                conn.closing = True
+                break
+            conn.outbuf += handler.wfile.getvalue()
+            served = rfile.tell()
+            conn.continued = False
+            conn.closing = handler.close_connection
+            self._wait(conn, self.IDLE_TIMEOUT if served == len(buf)
+                       else self.REQUEST_TIMEOUT)
+        del buf[:served]
+        conn.closing = conn.closing or eof
+
+    def _close(self, conn: _Connection) -> None:
+        self._connections.discard(conn)
+        self._selector.unregister(conn.sock)
+        try:  # closing with bytes unread resets the connection, and a reset
+            for _ in range(16):  # can discard the answer at the client
+                if not conn.sock.recv(1 << 16):
+                    break
+        except OSError:  # BlockingIOError: nothing more has arrived
+            pass
+        conn.sock.close()
+
+
+def create_server(store: Store, host: str = "127.0.0.1", port: int = 0) -> ShoutServer:
+    return ShoutServer(store, host, port)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,7 +61,7 @@ def store(tmp_path, clock):
 
 @pytest.fixture
 def live_server(tmp_path, clock):
-    """A real threaded HTTP server over a fresh store on an ephemeral port."""
+    """A real HTTP server, its loop in a thread, over a fresh store on an ephemeral port."""
     store = Store(str(tmp_path / "server-journal.jsonl"), clock=clock)
     server = create_server(store, "127.0.0.1", 0)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.05),

@@ -38,6 +38,12 @@ BAD_SHOUTS = [
     ("missing-key", broken(nick=...), "missing key 'nick'"),
     ("tags-not-list", broken(tags="#aa"), "tags is not a list"),
     ("tags-object", broken(tags={}), "tags is not a list"),
+    ("created-past-9999", broken(created=10**20),
+     "created: timestamp 100000000000000000000 is outside UTC years 1-9999"),
+    ("client-created-before-year-1", broken(client_created=-62135596801),
+     "client_created: timestamp -62135596801 is outside UTC years 1-9999"),
+    ("created-text", broken(created="1"), "created is not an int: '1'"),
+    ("nick-not-text", broken(nick=5), "id, nick and message must be text"),
 ]
 
 
@@ -192,3 +198,12 @@ def test_server_reports_a_journal_held_by_another_writer_in_one_line(tmp_path):
 def test_server_reports_a_missing_directory_in_one_line(tmp_path):
     path = str(tmp_path / "missing" / "j.jsonl")
     assert_one_line_error(run_server(path), f"error: cannot open journal {path}: ")
+
+
+def test_a_created_past_year_9999_stops_the_year_histogram_in_one_line(tmp_path):
+    path = bad_shout_journal(tmp_path, broken(created=10**20))
+    done = subprocess.run([sys.executable, "-m", "aa.stats", "--journal", path,
+                           "--report", "histogram:year"],
+                          env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                          timeout=60)
+    assert_one_line_error(done, "seq 2: bad shout record: created: timestamp")

@@ -32,6 +32,8 @@ from aa.errors import (
 from aa.miner import import_shouts
 from aa.model import (
     DeviationKind,
+    FIRST_TIMESTAMP,
+    LAST_TIMESTAMP,
     MessageKind,
     Session,
     SessionOrigin,
@@ -179,8 +181,19 @@ class TestJournal:
         object(),
         Shout("b", "bob", "x", 1, source="http"),
         jn.SessionEvent(jn.EVENT_OPEN, Session("s", "bob", "explicit", 0, 0)),
+        Shout("b", "bob", "x", None),
+        Shout("b", "bob", "x", 1.0),
+        Shout("b", "bob", "x", True),
+        Shout("b", "bob", "x", 10**20),
+        Shout("b", "bob", "x", 1, client_created="1"),
+        Shout("b", "bob", "x", 1, client_created=-62_135_596_801),
+        Shout(None, "bob", "x", 1),
+        Shout("b", 5, "x", 1),
+        Shout("b", "bob", b"x", 1),
     ], ids=["type-and-dict", "object", "shout-with-plain-source",
-            "session-with-plain-origin"])
+            "session-with-plain-origin", "created-none", "created-float",
+            "created-bool", "created-past-9999", "client_created-text",
+            "client_created-before-year-1", "id-none", "nick-int", "message-bytes"])
     def test_an_item_it_cannot_encode_is_refused_before_the_write(
             self, tmp_path, monkeypatch, item):
         path = tmp_path / "j.jsonl"
@@ -925,12 +938,12 @@ TAGS = st.builds(Tag, st.sampled_from(TagForm), st.text(max_size=8),
                  st.sampled_from(TagScope))
 SHOUTS = st.builds(
     Shout, id=st.text(min_size=1, max_size=8), nick=st.text(max_size=8),
-    message=st.text(max_size=20), created=st.integers(0, 2**40),
+    message=st.text(max_size=20), created=st.integers(FIRST_TIMESTAMP, LAST_TIMESTAMP),
     source=st.sampled_from(Source), kind=st.sampled_from(MessageKind),
     tags=st.lists(TAGS, max_size=3).map(tuple),
     session_ref=st.one_of(st.none(), st.text(min_size=1, max_size=8)),
     deviation=st.one_of(st.none(), st.sampled_from(DeviationKind)),
-    client_created=st.one_of(st.none(), st.integers(0, 2**40)),
+    client_created=st.one_of(st.none(), st.integers(FIRST_TIMESTAMP, LAST_TIMESTAMP)),
     topic=st.one_of(st.none(), st.text(max_size=8)))
 
 

@@ -37,8 +37,19 @@ def test_iso8601_round_trip():
 
 @given(st.integers(-62_135_596_800, 253_402_300_799))  # years 1 to 9999
 def test_iso8601_equals_datetime_rendering(ts):
-    expected = datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    assert iso8601(ts) == expected
+    expected = datetime.fromtimestamp(ts, timezone.utc).isoformat()
+    assert iso8601(ts) == expected.removesuffix("+00:00") + "Z"
+
+
+@pytest.mark.parametrize("ts, text", [
+    (-62_135_596_800, "0001-01-01T00:00:00Z"),
+    (-30_610_224_001, "0999-12-31T23:59:59Z"),
+    (-30_610_224_000, "1000-01-01T00:00:00Z"),
+    (253_402_300_799, "9999-12-31T23:59:59Z"),
+])
+def test_iso8601_years_have_four_digits(ts, text):
+    assert iso8601(ts) == text
+    assert parse_iso8601(text) == ts
 
 
 def test_parse_iso8601_naive_is_utc():

@@ -1,15 +1,20 @@
+import gc
 import json
 import logging
 import re
 import socket
+import threading
+import time
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
 from conftest import get_json, http_get, http_post, post_json
 
 from aa import server
-from aa.server import MAX_BODY, ROUTES
+from aa.server import MAX_BODY, ROUTES, ShoutServer, create_server
+from aa.store import Store
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -372,7 +377,7 @@ def test_journal_failure_maps_to_500(live_server, monkeypatch):
 
 
 class TestRequestBody:
-    @pytest.mark.parametrize("length", [-1, MAX_BODY + 1])
+    @pytest.mark.parametrize("length", [-1, MAX_BODY + 1, "1x", "+5"])
     def test_bad_content_length_rejected_before_reading(self, live_server, length):
         host, port = live_server.server_address[:2]
         request = (f"POST /shout?nick=bob&msg=x HTTP/1.1\r\nHost: {host}\r\n"
@@ -405,11 +410,11 @@ class TestRequestBody:
                                                       caplog, capsys):
         sent = []
 
-        def hung_up(handler, status, body, content_type):
-            sent.append(status)
-            raise BrokenPipeError(32, "Broken pipe")
+        def reset(sock, data, *flags):  # the server's write of each answer
+            sent.append(int(bytes(data).split()[1]))
+            raise ConnectionResetError(104, "Connection reset by peer")
 
-        monkeypatch.setattr(server.ShoutHandler, "_send", hung_up)
+        monkeypatch.setattr(socket.socket, "send", reset)
         host, port = live_server.server_address[:2]
         with caplog.at_level(logging.DEBUG, logger="aa.server"):
             for path in ("/shout?nick=bob&msg=gone", "/nope"):
@@ -421,6 +426,215 @@ class TestRequestBody:
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert "Traceback" not in capsys.readouterr().err
         assert [s.message for s in live_server.store.list_shouts()] == ["gone"]
+
+
+def read_answer(reader) -> tuple[int, dict, bytes]:
+    """One HTTP answer from a socket's binary reader: status, headers, body."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
+
+
+def request(path: str, method: str = "GET", version: str = "HTTP/1.1",
+            body: bytes = b"", head: str = "") -> bytes:
+    return (f"{method} {path} {version}\r\nHost: aa\r\n{head}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def connect(live_server) -> socket.socket:
+    return socket.create_connection(live_server.server_address[:2], timeout=5)
+
+
+def messages(live_server) -> list[str]:
+    return [s.message for s in live_server.store.list_shouts()]
+
+
+class TestConnectionLoop:
+    """What http.server did on a thread per connection, the one loop keeps."""
+
+    def test_two_requests_on_one_keep_alive_connection(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request("/shout?nick=bob&msg=one", "POST"))
+            assert read_answer(reader)[0] == 200
+            sock.sendall(request("/shouts?format=json"))
+            status, headers, body = read_answer(reader)
+        assert status == 200 and "connection" not in headers
+        assert [e["message"] for e in json.loads(body)] == ["one"]
+
+    def test_pipelined_requests_are_answered_in_order(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request("/shout", "POST", body=b"nick=bob&msg=first",
+                                 head="Content-Type: application/x-www-form-urlencoded\r\n")
+                         + request("/nope") + request("/shout?nick=bob&msg=second", "POST"))
+            statuses = [read_answer(reader)[0] for _ in range(3)]
+        assert statuses == [200, 404, 200]
+        assert messages(live_server) == ["first", "second"]
+
+    def test_expect_100_continue_gets_one_interim_answer(self, live_server):
+        body = b"nick=bob&msg=after+the+interim"
+        head = request("/shout", "POST", body=body,
+                       head="Expect: 100-continue\r\n"
+                            "Content-Type: application/x-www-form-urlencoded\r\n")
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(head[:-len(body)])
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            assert read_answer(reader)[0] == 200  # no second 100 before it
+        assert messages(live_server) == ["after the interim"]
+
+    def test_bare_lf_head_is_framed_as_http_server_reads_it(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"POST /shout?nick=bob&msg=lf HTTP/1.1\nHost: aa\n\n"
+                         + request("/nope"))
+            assert [read_answer(reader)[0] for _ in range(2)] == [200, 404]
+        assert messages(live_server) == ["lf"]
+
+    @pytest.mark.parametrize("raw, status", [
+        (request("/" + "a" * 70_000), 414),
+        (request("/nope", head=f"X-Long: {'a' * 70_000}\r\n"), 431),
+        (request("/nope", head="X: y\r\n" * 101), 431),
+    ], ids=["request-line", "header-line", "header-count"])
+    def test_oversized_head_is_refused_and_closed(self, live_server, raw, status):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(raw)
+            assert read_answer(reader)[0] == status
+            assert reader.read() == b""
+
+    def test_head_cut_by_eof_is_refused_and_journals_nothing(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"POST /shout?nick=bob&msg=cut HTTP/1.1\r\nHost: aa\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert read_answer(reader)[0] == 400
+            assert reader.read() == b""
+        assert messages(live_server) == []
+
+    def test_http_1_0_request_is_closed_after_its_answer(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request("/shouts", version="HTTP/1.0"))
+            assert read_answer(reader)[0] == 200
+            assert reader.read() == b""
+
+    def test_a_stalled_client_does_not_delay_another(self, live_server):
+        with connect(live_server) as stalled, stalled.makefile("rb") as reader:
+            stalled.sendall(b"GET /shouts HTTP/1.1\r\nHo")
+            started = time.monotonic()
+            assert http_get(live_server.url + "/shouts")[0] == 200
+            assert time.monotonic() - started < 2
+            stalled.sendall(b"st: aa\r\n\r\n")
+            assert read_answer(reader)[0] == 200
+
+    def test_handle_runs_once_per_request(self, live_server, monkeypatch):
+        calls = []
+        handle = server.ShoutHandler.handle
+
+        def counted(handler):
+            handle(handler)
+            calls.append(handler.path)
+
+        monkeypatch.setattr(server.ShoutHandler, "handle", counted)
+        paths = [f"/report?n={n}" for n in (1, 2, 3)]
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            for path in paths:
+                sock.sendall(request(path))
+                assert read_answer(reader)[0] == 200
+        assert calls == paths
+
+    def test_errors_in_a_handler_or_accept_do_not_stop_the_loop(self, live_server,
+                                                                 monkeypatch, caplog):
+        parse, accept = server.ShoutHandler.parse_request, socket.socket.accept
+        faults = {"parse": 1, "accept": 1}
+
+        def failing(fault, real):
+            def wrapper(self, *args):
+                if faults[fault]:
+                    faults[fault] -= 1
+                    raise (RuntimeError if fault == "parse" else OSError)(fault)
+                return real(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(server.ShoutHandler, "parse_request", failing("parse", parse))
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request("/nope"))
+            assert reader.read() == b""  # closed with no answer
+        monkeypatch.setattr(socket.socket, "accept", failing("accept", accept))
+        assert http_get(live_server.url + "/nope")[0] == 404
+        assert faults == {"parse": 0, "accept": 0}
+        assert [(r.levelname, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING] == [
+            ("ERROR", "unhandled error serving 127.0.0.1"),
+            ("WARNING", "accept failed: accept")]
+
+    def test_shutdown_closes_open_connections(self, tmp_path):
+        store = Store(str(tmp_path / "journal.jsonl"))
+        srv = create_server(store)
+        thread = threading.Thread(target=srv.serve_forever, args=(0.05,))
+        thread.start()
+        try:
+            idle = socket.create_connection(srv.server_address, timeout=5)
+            half = socket.create_connection(srv.server_address, timeout=5)
+            half.sendall(b"GET /shouts HTTP/1.1\r\n")
+            with idle, half:  # accepted before the served one is answered
+                served = socket.create_connection(srv.server_address, timeout=5)
+                with served, served.makefile("rb") as answers:
+                    served.sendall(request("/shouts"))
+                    assert read_answer(answers)[0] == 200
+                    srv.shutdown()
+                    thread.join(timeout=5)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        srv.server_close()
+                        gc.collect()
+                    assert not thread.is_alive()
+                    assert [w for w in caught if w.category is ResourceWarning] == []
+                    for client in (idle, half, served):
+                        assert client.recv(1) == b""
+        finally:
+            store.close()
+
+
+class TestLimits:
+    """Deadlines and the connection cap; the tests patch the class constants."""
+
+    def test_idle_connections_are_closed_after_the_idle_deadline(self, live_server,
+                                                                 monkeypatch):
+        monkeypatch.setattr(ShoutServer, "IDLE_TIMEOUT", 0.3)
+        with connect(live_server) as fresh, connect(live_server) as served, \
+                served.makefile("rb") as reader:
+            served.sendall(request("/shouts"))
+            assert read_answer(reader)[0] == 200
+            started = time.monotonic()
+            assert fresh.recv(1) == b"" and served.recv(1) == b""
+            assert 0.1 < time.monotonic() - started < 3
+
+    def test_a_half_sent_head_is_closed_after_the_request_deadline(self, live_server,
+                                                                   monkeypatch):
+        monkeypatch.setattr(ShoutServer, "REQUEST_TIMEOUT", 0.3)
+        with connect(live_server) as sock:
+            sock.sendall(b"POST /shout?nick=bob&msg=slow HTTP/1.1\r\nHost: aa\r\n")
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # closed, with no answer
+            assert 0.2 < time.monotonic() - started < 3
+        assert messages(live_server) == []
+
+    def test_a_connection_past_the_cap_gets_503(self, live_server, monkeypatch):
+        monkeypatch.setattr(ShoutServer, "MAX_CONNECTIONS", 2)
+        with connect(live_server) as first, connect(live_server) as second, \
+                first.makefile("rb") as reader:
+            first.sendall(request("/shouts"))  # both are open once it is answered
+            assert read_answer(reader)[0] == 200
+            with connect(live_server) as third, third.makefile("rb") as refused:
+                status, headers, body = read_answer(refused)
+                assert refused.read() == b""
+            second.sendall(request("/shouts"))
+            with second.makefile("rb") as still_served:
+                assert read_answer(still_served)[0] == 200
+        assert status == 503
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body) == {"error": "busy", "detail": "over 2 open connections"}
 
 
 class TestServerMain:
