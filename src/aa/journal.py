@@ -19,8 +19,6 @@ from .errors import JournalError
 from .model import (
     DEFAULT_SLOT,
     DeviationKind,
-    FIRST_TIMESTAMP,
-    LAST_TIMESTAMP,
     MessageKind,
     Session,
     SessionOrigin,
@@ -30,6 +28,7 @@ from .model import (
     TagForm,
     TagScope,
     ValidationReview,
+    check_timestamp,
 )
 
 EVENT_OPEN = "open"
@@ -46,12 +45,6 @@ class JournalRecord(NamedTuple):
     data: dict
 
 
-def _bad_timestamp(name: str, ts) -> ValueError:
-    if type(ts) is not int:
-        return ValueError(f"{name} is not an int: {ts!r:.60}")
-    return ValueError(f"{name}: timestamp {ts} is outside UTC years 1-9999")
-
-
 def check_shout(shout: Shout) -> Shout:
     """``shout`` itself if its id, nick and message are text and its
     timestamps ints in UTC years 1-9999; ValueError otherwise.
@@ -62,15 +55,19 @@ def check_shout(shout: Shout) -> Shout:
     if not type(shout.id) is type(shout.nick) is type(shout.message) is str:
         raise ValueError(f"id, nick and message must be text: {shout.id!r:.30}, "
                          f"{shout.nick!r:.30}, {shout.message!r:.30}")
-    created, client_created = shout.created, shout.client_created
-    # exact types: a bool is no int
-    if type(created) is not int or not FIRST_TIMESTAMP <= created <= LAST_TIMESTAMP:
-        raise _bad_timestamp("created", created)
-    if client_created is not None and (
-            type(client_created) is not int
-            or not FIRST_TIMESTAMP <= client_created <= LAST_TIMESTAMP):
-        raise _bad_timestamp("client_created", client_created)
+    _check_field("created", shout.created)
+    if shout.client_created is not None:
+        _check_field("client_created", shout.client_created)
     return shout
+
+
+def _check_field(name: str, ts) -> None:
+    if type(ts) is not int:  # exact: a bool is no int
+        raise ValueError(f"{name} is not an int: {ts!r:.60}")
+    try:
+        check_timestamp(ts)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def shout_to_dict(shout: Shout) -> dict:

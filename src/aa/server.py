@@ -132,12 +132,12 @@ class ShoutHandler(BaseHTTPRequestHandler):
 
     def _params(self, query: str) -> dict:
         params = {k: v[0] for k, v in parse_qs(query).items()}
-        text = (self.headers.get("Content-Length") or "0").strip()
-        length = int(text) if text.isdecimal() else -1
+        text = self.headers.get("Content-Length") or "0"
+        length = _content_length(text)
         if not 0 <= length <= MAX_BODY:
             # an unread body would be read as the next request
             self.close_connection = True
-            raise ValueError(f"Content-Length {text} outside 0..{MAX_BODY}")
+            raise ValueError(f"Content-Length {text.strip():.20} outside 0..{MAX_BODY}")
         if length:
             body = self.rfile.read(length)
             if len(body) != length:
@@ -274,11 +274,20 @@ def _frame(buf: bytearray, start: int) -> tuple[int, int, bool] | None:
         name, _, value = line.partition(b":")
         name = name.lower()
         if name == b"content-length" and length is None:
-            value = value.strip()
-            length = int(value) if value.isdigit() else 0  # else the handler answers 400
+            length = _content_length(value.decode("latin-1"))  # outside 0..MAX_BODY: 400
         elif name == b"expect" and expect is None:
             expect = http11 and value.strip().lower() == b"100-continue"
     return start, length or 0, bool(expect)
+
+
+def _content_length(text: str) -> int:
+    """The length a Content-Length value gives: -1 if it is no decimal
+    number, MAX_BODY + 1 for any above MAX_BODY (int() refuses more than
+    4300 digits)."""
+    digits = text.strip().lstrip("0") or "0"
+    if not digits.isdecimal():
+        return -1
+    return int(digits) if len(digits) <= len(str(MAX_BODY)) else MAX_BODY + 1
 
 
 class _Connection:
@@ -309,7 +318,8 @@ class ShoutServer:
     """
 
     REQUEST_TIMEOUT = 10.0  # seconds from a request's first byte to its last
-    IDLE_TIMEOUT = 10.0  # seconds a connection may wait for its next request
+    IDLE_TIMEOUT = 10.0  # seconds a client may take to read more of an answer,
+                         # or to start its next request
     MAX_CONNECTIONS = 256  # open at once; one more is answered 503 and closed
 
     def __init__(self, store: Store, host: str, port: int):
@@ -363,6 +373,11 @@ class ShoutServer:
     def _expire(self, now: float) -> None:
         self._next_expiry = float("inf")
         for conn in list(self._connections):
+            if conn.deadline <= now and conn.outbuf:
+                try:  # a client still reading its answer keeps the connection
+                    self._send(conn)
+                except OSError:
+                    pass
             if conn.deadline <= now:
                 log.debug("%s: closed after its deadline", conn.address[0])
                 self._close(conn)
@@ -385,7 +400,7 @@ class ShoutServer:
                 sock.send(handler.wfile.getvalue())
             except OSError:
                 pass
-            sock.close()
+            _hang_up(sock)
             return
         conn = _Connection(sock, address)
         self._wait(conn, self.IDLE_TIMEOUT)
@@ -401,10 +416,14 @@ class ShoutServer:
                 conn.inbuf += data
                 self._serve(conn, eof=not data)
             if conn.outbuf:
-                del conn.outbuf[:conn.sock.send(conn.outbuf)]
+                self._send(conn)
         except BlockingIOError:
             pass
         except OSError:  # a reset or a broken pipe: no one is left to answer
+            self._close(conn)
+            return
+        except Exception:  # noqa: BLE001 - keep serving the other connections
+            log.exception("unhandled error on %s", conn.address[0])
             self._close(conn)
             return
         if conn.closing and not conn.outbuf:
@@ -443,21 +462,33 @@ class ShoutServer:
             served = rfile.tell()
             conn.continued = False
             conn.closing = handler.close_connection
-            self._wait(conn, self.IDLE_TIMEOUT if served == len(buf)
-                       else self.REQUEST_TIMEOUT)
         del buf[:served]
         conn.closing = conn.closing or eof
+
+    def _send(self, conn: _Connection) -> None:
+        """Send what the kernel takes of ``conn.outbuf``; progress renews the
+        connection's deadline."""
+        sent = conn.sock.send(conn.outbuf)
+        del conn.outbuf[:sent]
+        if sent:
+            self._wait(conn, self.IDLE_TIMEOUT)
 
     def _close(self, conn: _Connection) -> None:
         self._connections.discard(conn)
         self._selector.unregister(conn.sock)
-        try:  # closing with bytes unread resets the connection, and a reset
-            for _ in range(16):  # can discard the answer at the client
-                if not conn.sock.recv(1 << 16):
-                    break
-        except OSError:  # BlockingIOError: nothing more has arrived
-            pass
-        conn.sock.close()
+        _hang_up(conn.sock)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Close ``sock`` after reading what the client sent: closing with bytes
+    unread resets the connection, and a reset can discard the answer."""
+    try:
+        for _ in range(16):
+            if not sock.recv(1 << 16):
+                break
+    except OSError:  # BlockingIOError: nothing more has arrived
+        pass
+    sock.close()
 
 
 def create_server(store: Store, host: str = "127.0.0.1", port: int = 0) -> ShoutServer:

@@ -377,7 +377,8 @@ def test_journal_failure_maps_to_500(live_server, monkeypatch):
 
 
 class TestRequestBody:
-    @pytest.mark.parametrize("length", [-1, MAX_BODY + 1, "1x", "+5"])
+    @pytest.mark.parametrize("length", [-1, MAX_BODY + 1, "1x", "+5",
+                                        pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_content_length_rejected_before_reading(self, live_server, length):
         host, port = live_server.server_address[:2]
         request = (f"POST /shout?nick=bob&msg=x HTTP/1.1\r\nHost: {host}\r\n"
@@ -389,7 +390,6 @@ class TestRequestBody:
         assert head.split()[1] == b"400"
         assert json.loads(body)["error"] == "bad_request"
         assert get_json(live_server.url + "/shouts", {"format": "json"}) == []
-
 
     def test_body_shorter_than_content_length_is_refused(self, live_server):
         host, port = live_server.server_address[:2]
@@ -568,6 +568,24 @@ class TestConnectionLoop:
             ("ERROR", "unhandled error serving 127.0.0.1"),
             ("WARNING", "accept failed: accept")]
 
+    def test_an_error_outside_a_handler_closes_only_its_connection(self, live_server,
+                                                                   monkeypatch, caplog):
+        frame, faults = server._frame, [RuntimeError("frame")]
+
+        def failing(*args):
+            if faults:
+                raise faults.pop()
+            return frame(*args)
+
+        monkeypatch.setattr(server, "_frame", failing)
+        with connect(live_server) as sock:
+            sock.sendall(request("/nope"))
+            assert sock.recv(1) == b""  # closed with no answer
+        assert http_get(live_server.url + "/nope")[0] == 404
+        assert [(r.levelname, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING] == [
+            ("ERROR", "unhandled error on 127.0.0.1")]
+
     def test_shutdown_closes_open_connections(self, tmp_path):
         store = Store(str(tmp_path / "journal.jsonl"))
         srv = create_server(store)
@@ -620,6 +638,25 @@ class TestLimits:
             assert 0.2 < time.monotonic() - started < 3
         assert messages(live_server) == []
 
+    def test_a_slow_reader_gets_the_whole_answer(self, live_server, monkeypatch):
+        monkeypatch.setattr(ShoutServer, "IDLE_TIMEOUT", 0.3)
+        live_server.store.receive_shout("bob", "x" * 300_000)
+        # accepted sockets inherit the listener's small send buffer
+        live_server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5)
+            sock.connect(live_server.server_address[:2])
+            sock.sendall(request("/shouts", version="HTTP/1.0"))
+            started, reply = time.monotonic(), b""
+            while chunk := sock.recv(8192):
+                reply += chunk
+                time.sleep(0.02)  # each gap well inside the deadline
+        assert time.monotonic() - started > 0.6  # the answer outlasted the deadline
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert len(body) == int(re.search(rb"Content-Length: (\d+)", head)[1]) > 300_000
+
     def test_a_connection_past_the_cap_gets_503(self, live_server, monkeypatch):
         monkeypatch.setattr(ShoutServer, "MAX_CONNECTIONS", 2)
         with connect(live_server) as first, connect(live_server) as second, \
@@ -627,6 +664,7 @@ class TestLimits:
             first.sendall(request("/shouts"))  # both are open once it is answered
             assert read_answer(reader)[0] == 200
             with connect(live_server) as third, third.makefile("rb") as refused:
+                third.sendall(request("/shout?nick=bob&msg=refused", "POST"))
                 status, headers, body = read_answer(refused)
                 assert refused.read() == b""
             second.sendall(request("/shouts"))
@@ -635,6 +673,7 @@ class TestLimits:
         assert status == 503
         assert headers["content-type"] == "application/json"
         assert json.loads(body) == {"error": "busy", "detail": "over 2 open connections"}
+        assert messages(live_server) == []
 
 
 class TestServerMain:
