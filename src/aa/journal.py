@@ -61,11 +61,11 @@ def check_shout(shout: Shout) -> Shout:
     return shout
 
 
-def _check_field(name: str, ts) -> None:
+def _check_field(name: str, ts) -> int:
     if type(ts) is not int:  # exact: a bool is no int
         raise ValueError(f"{name} is not an int: {ts!r:.60}")
     try:
-        check_timestamp(ts)
+        return check_timestamp(ts)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
@@ -144,8 +144,8 @@ def session_to_dict(item: SessionEvent) -> dict:
         "id": session.id,
         "user": session.user,
         "origin": session.origin.value,
-        "start": session.start,
-        "end": session.end,
+        "start": _check_field("start", session.start),
+        "end": _check_field("end", session.end),
         "slot": session.slot_duration,
         "shouts": list(session.shouts),
         "screencast": session.screencast,
@@ -157,7 +157,8 @@ def session_to_dict(item: SessionEvent) -> dict:
 def session_from_dict(data: dict) -> SessionEvent:
     # positional, in field order, like shout_from_dict
     session = Session(data["id"], data["user"], _ORIGINS[data.get("origin", "explicit")],
-                      data["start"], data["end"], data.get("slot", DEFAULT_SLOT),
+                      _check_field("start", data["start"]), _check_field("end", data["end"]),
+                      data.get("slot", DEFAULT_SLOT),
                       tuple(data.get("shouts", ())), data.get("screencast"))
     return SessionEvent(data.get("event", EVENT_CLOSE), session, data.get("report"),
                         data.get("validator"))
@@ -169,13 +170,13 @@ def review_to_dict(review: ValidationReview) -> dict:
         "reviewer": review.reviewer,
         "score": review.score,
         "comment": review.comment,
-        "created": review.created,
+        "created": _check_field("created", review.created),
     }
 
 
 def review_from_dict(data: dict) -> ValidationReview:
     return ValidationReview(data["session"], data["reviewer"], data["score"],
-                            data.get("comment"), data["created"])
+                            data.get("comment"), _check_field("created", data["created"]))
 
 
 Item = Shout | SessionEvent | ValidationReview

@@ -26,11 +26,11 @@ import socket
 import sys
 import threading
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler
+from email.utils import formatdate
+from http import HTTPStatus
 from inspect import Parameter, signature
-from io import BytesIO
 from time import monotonic
-from typing import Callable
+from typing import Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from .config import load_config
@@ -86,82 +86,50 @@ def _entry(name: str, methods: tuple[str, ...], path: str, handler: Callable) ->
         for p in signature(handler).parameters.values() if p.kind is p.KEYWORD_ONLY}
 
 
-class ShoutHandler(BaseHTTPRequestHandler):
-    """Serves one request that ``ShoutServer`` has buffered, through http.server.
+class ShoutHandler:
+    """Answers one request that ``ShoutServer`` has read whole (its parsed head
+    and exact body bytes), or the refusal read in place of a head. It has no
+    socket: ``answer`` collects the whole answer, and the loop sends it."""
 
-    It has no socket: it reads the request from ``rfile`` and writes the
-    whole answer into ``wfile``, both in memory, and the loop sends it.
-    """
-
-    protocol_version = "HTTP/1.1"
-
-    def __init__(self, rfile: BytesIO, client_address, server: "ShoutServer",
-                 head_cut: bool = False):
-        self.rfile, self.wfile = rfile, BytesIO()
-        self.client_address, self.server = client_address, server
-        self.head_cut = head_cut  # the client stopped sending inside the head
+    def __init__(self, store: Store, head: Head | tuple, body: bytes = b""):
+        self.store, self.head, self.body = store, head, body
+        served = type(head) is Head
+        self.path = head.target if served else ""
+        self.close_connection = not (served and head.keep_alive)
+        self.answer = bytearray()
 
     def handle(self) -> None:
-        """Serve the one request at ``rfile``'s position."""
-        self.handle_one_request()
-
-    def parse_request(self) -> bool:
-        if not super().parse_request():
-            return False
-        if self.head_cut:  # its end is unknown, so nothing of it is acted on
-            self.send_error(400, "Request head cut short")
-            return False
-        return True
-
-    def handle_expect_100(self) -> bool:
-        return True  # the loop sent the interim 100 if it waited for the body
-
-    def busy(self, limit: int) -> None:
-        """Answer 503 on a connection the server will not read."""
-        self.requestline, self.request_version = "", self.protocol_version
-        self._send_error_code("busy", f"over {limit} open connections", 503)
-
-    @property
-    def store(self) -> Store:
-        return self.server.store
-
-    def log_message(self, fmt, *args):
-        log.debug("%s - %s", self.address_string(), fmt % args)
+        """Answer the request, or its refusal, into ``answer``."""
+        if type(self.head) is Head:
+            self._dispatch(self.head.method)
+        else:
+            self._send_error_code(*self.head)
 
     # -- plumbing ---------------------------------------------------------
 
     def _params(self, query: str) -> dict:
         params = {k: v[0] for k, v in parse_qs(query).items()}
-        text = self.headers.get("Content-Length") or "0"
-        length = _content_length(text)
-        if not 0 <= length <= MAX_BODY:
-            # an unread body would be read as the next request
-            self.close_connection = True
-            raise ValueError(f"Content-Length {text.strip():.20} outside 0..{MAX_BODY}")
-        if length:
-            body = self.rfile.read(length)
-            if len(body) != length:
-                self.close_connection = True  # the client stopped sending
-                raise ValueError(f"body of {len(body)} bytes, Content-Length {length}")
-            if "json" in self.headers.get("Content-Type", ""):
-                payload = json.loads(body)
+        if self.body:
+            if "json" in self.head.headers.get("content-type", ""):
+                payload = json.loads(self.body)
                 if not isinstance(payload, dict):
                     raise ValueError("JSON body must be an object")
                 params.update(payload)
             else:
-                params.update({k: v[0] for k, v in parse_qs(body.decode()).items()})
+                params.update({k: v[0] for k, v in parse_qs(self.body.decode()).items()})
         return params
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def send_response(self, status: int, body: bytes, content_type: str) -> None:
+        """Add the whole answer to ``answer``: status line, headers and body."""
+        close = "Connection: close\r\n" if self.close_connection else ""
+        self.answer += (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                        f"Date: {formatdate(usegmt=True)}\r\n{close}"
+                        f"Content-Type: {content_type}\r\n"
+                        f"Content-Length: {len(body)}\r\n\r\n").encode() + body
 
     def _send_json(self, payload, status: int = 200) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
-        self._send(status, body, "application/json")
+        self.send_response(status, body, "application/json")
 
     def _send_error_code(self, code: str, detail: str, status: int) -> None:
         self._send_json({"error": code, "detail": detail}, status=status)
@@ -183,12 +151,6 @@ class ShoutHandler(BaseHTTPRequestHandler):
             log.exception("unhandled error for %s", self.path)
             self._send_error_code("internal", "unhandled server error", 500)
 
-    def do_GET(self):
-        self._dispatch("GET")
-
-    def do_POST(self):
-        self._dispatch("POST")
-
     # -- routes: each takes the path's <id>, then its decoded parameters --
 
     def _handle_shout(self, *, nick: str = "", msg: str = "",
@@ -206,10 +168,10 @@ class ShoutHandler(BaseHTTPRequestHandler):
         filters = {"nick": nick, "since": since, "until": until}
         if format == "json":
             body = self.store.shouts_json(**filters).encode()
-            self._send(200, body, "application/json")
+            self.send_response(200, body, "application/json")
         else:
             body = self.store.shouts_text(**filters).encode()
-            self._send(200, body, "text/plain; charset=utf-8")
+            self.send_response(200, body, "text/plain; charset=utf-8")
 
     def _handle_message(self, *, nick: str = "", msg: str = "",
                         batch: list[dict] | None = None) -> None:
@@ -246,48 +208,79 @@ ROUTES = (
 
 
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-_MAX_LINE = 65536  # http.server answers a longer request line 414, header line 431
-_MAX_HEADERS = 100  # and 431 past this many header lines
+_MAX_LINE = 65536  # most bytes in a request line (else 414) or a header line (else 431)
+_MAX_HEADERS = 100  # lines after the request line, the empty one included (else 431)
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-def _frame(buf: bytearray, start: int) -> tuple[int, int, bool] | None:
-    """The end of the head, Content-Length and 100-continue wish of the
-    request at ``buf[start:]``; None while its head is incomplete.
+class Head(NamedTuple):
+    """A request head as ``_read_head`` read it (RFC 9112 sections 2-3, 6, 9)."""
 
-    The head ends where http.server stops reading it: at the first empty
-    line, lines ending at LF with or without CR, or, for its 414 and 431
-    answers, after a line longer than 64 KiB or a 101st header line.
+    end: int  # where the body starts in the connection's buffer
+    method: str
+    target: str
+    version: tuple[int, int]
+    headers: dict[str, str]  # lower-cased names, each with its first value
+    length: int  # of the body, from Content-Length
+    expect: bool  # an HTTP/1.1 client waits for an interim 100 Continue
+    keep_alive: bool
+
+
+def _read_head(buf: bytearray, start: int, eof: bool) -> Head | tuple | None:
+    """The head of the request at ``buf[start:]``, or the refusal it gets
+    (error code, detail, status; the connection then closes); None while
+    the head is incomplete and more may come, or at EOF with nothing left.
+    Lines end at LF with or without CR; each may take 64 KiB, and the empty
+    line ending the head must come within 100 lines.
     """
-    length, expect, http11 = None, None, False
+    headers: dict[str, str] = {}
     for count in range(_MAX_HEADERS + 1):
         end = buf.find(b"\n", start, start + _MAX_LINE) + 1
         if not end:
-            if len(buf) - start <= _MAX_LINE:  # readline(_MAX_LINE + 1) needs more
-                return None
-            return len(buf), 0, False
-        line, start = buf[start:end], end
-        if line in (b"\r\n", b"\n"):
-            break
+            if len(buf) - start > _MAX_LINE:
+                return (("headers_too_large", f"a header line over {_MAX_LINE} bytes", 431)
+                        if count else
+                        ("uri_too_long", f"a request line over {_MAX_LINE} bytes", 414))
+            if eof and (count or start < len(buf)):
+                return "bad_request", "request head cut short", 400
+            return None
+        line, start = buf[start:end].decode("latin-1"), end
         if not count:
-            http11 = line.rstrip().endswith(b"HTTP/1.1")
-            continue
-        name, _, value = line.partition(b":")
-        name = name.lower()
-        if name == b"content-length" and length is None:
-            length = _content_length(value.decode("latin-1"))  # outside 0..MAX_BODY: 400
-        elif name == b"expect" and expect is None:
-            expect = http11 and value.strip().lower() == b"100-continue"
-    return start, length or 0, bool(expect)
-
-
-def _content_length(text: str) -> int:
-    """The length a Content-Length value gives: -1 if it is no decimal
-    number, MAX_BODY + 1 for any above MAX_BODY (int() refuses more than
-    4300 digits)."""
-    digits = text.strip().lstrip("0") or "0"
-    if not digits.isdecimal():
-        return -1
-    return int(digits) if len(digits) <= len(str(MAX_BODY)) else MAX_BODY + 1
+            words = line.split()  # method, target and version
+            found = len(words) >= 3 and _VERSION.fullmatch(words[-1])
+            if found and int(found[1]) >= 2:
+                return "version_not_supported", f"{words[-1]:.20} is not served", 505
+            if len(words) != 3 or not found:
+                return "bad_request", f"bad request line {line.strip()!r:.80}", 400
+            version = int(found[1]), int(found[2])
+        elif line in ("\r\n", "\n"):
+            break
+        else:
+            name, _, value = line.partition(":")
+            name, value = name.lower(), value.strip()
+            if name not in headers:
+                headers[name] = value
+            elif name == "content-length" and value != headers[name]:
+                return ("bad_request",
+                        f"Content-Length {headers[name]:.20} and {value:.20} differ", 400)
+    else:
+        return "headers_too_large", f"over {_MAX_HEADERS - 1} header lines", 431
+    method, target, _ = words
+    if method not in ("GET", "POST"):
+        return "not_implemented", f"method {method:.20} is not served", 501
+    if "transfer-encoding" in headers:
+        return "not_implemented", "Transfer-Encoding is not served", 501
+    text = headers.get("content-length") or "0"
+    digits = text.lstrip("0") or "0"  # int() refuses more than 4300 digits
+    length = int(digits) if digits.isdecimal() and len(digits) <= len(str(MAX_BODY)) else -1
+    if not 0 <= length <= MAX_BODY:
+        return "bad_request", f"Content-Length {text:.20} outside 0..{MAX_BODY}", 400
+    connection = headers.get("connection", "").lower()
+    if target.startswith("//"):  # else urlsplit reads a host name from the target
+        target = "/" + target.lstrip("/")
+    return Head(start, method, target, version, headers, length,
+                version >= (1, 1) and headers.get("expect", "").lower() == "100-continue",
+                connection == "keep-alive" or version >= (1, 1) and connection != "close")
 
 
 class _Connection:
@@ -394,10 +387,11 @@ class ShoutServer:
             return
         sock.setblocking(False)
         if len(self._connections) >= self.MAX_CONNECTIONS:
-            handler = ShoutHandler(BytesIO(), address, self)
-            handler.busy(self.MAX_CONNECTIONS)
+            handler = ShoutHandler(self.store, (
+                "busy", f"over {self.MAX_CONNECTIONS} open connections", 503))
+            handler.handle()
             try:
-                sock.send(handler.wfile.getvalue())
+                sock.send(handler.answer)
             except OSError:
                 pass
             _hang_up(sock)
@@ -436,30 +430,33 @@ class ShoutServer:
 
     def _serve(self, conn: _Connection, eof: bool) -> None:
         """Serve each complete request in ``conn.inbuf``; at EOF, what is left."""
-        buf, served, rfile = conn.inbuf, 0, None
-        while served < len(buf) and not conn.closing:
-            framed = _frame(buf, served)
-            if not eof:
-                if framed is None:
-                    break
-                head, length, expect = framed
-                if 0 < length <= MAX_BODY and len(buf) < head + length:
-                    if expect and not conn.continued:
+        buf, served = conn.inbuf, 0
+        while not conn.closing:
+            while buf.startswith(b"\n", served) or buf.startswith(b"\r\n", served):
+                served = buf.index(b"\n", served) + 1  # empty lines before a request
+            head, body = _read_head(buf, served, eof), b""
+            if head is None:
+                break
+            if type(head) is Head:
+                end = head.end + head.length
+                if end <= len(buf):
+                    body, served = bytes(buf[head.end:end]), end
+                elif not eof:
+                    if head.expect and not conn.continued:
                         conn.outbuf += _CONTINUE
                         conn.continued = True
                     break
-            if rfile is None:  # one copy for all the requests pipelined in buf
-                rfile = BytesIO(buf)
-            rfile.seek(served)
-            handler = ShoutHandler(rfile, conn.address, self, head_cut=framed is None)
+                else:  # the client stopped sending inside the body
+                    head = ("bad_request", f"body of {len(buf) - head.end} bytes, "
+                                           f"Content-Length {head.length}", 400)
+            handler = ShoutHandler(self.store, head, body)
             try:
                 handler.handle()
             except Exception:  # noqa: BLE001 - keep serving the other connections
                 log.exception("unhandled error serving %s", conn.address[0])
                 conn.closing = True
                 break
-            conn.outbuf += handler.wfile.getvalue()
-            served = rfile.tell()
+            conn.outbuf += handler.answer
             conn.continued = False
             conn.closing = handler.close_connection
         del buf[:served]

@@ -85,6 +85,28 @@ def test_bad_session_data_and_unknown_type_are_named(tmp_path):
         jn.replay(path)
 
 
+# (case, second record's type and data, what the message must say)
+BAD_TIMESTAMPS = [
+    ("session-start-past-9999", "session",
+     {"event": "open", "id": "s", "user": "bob", "start": 10**20, "end": 10**20},
+     "start: timestamp 100000000000000000000 is outside UTC years 1-9999"),
+    ("review-created-text", "review",
+     {"session": "s", "reviewer": "alice", "score": 0.5, "created": "yesterday"},
+     "created is not an int: 'yesterday'"),
+]
+
+
+@pytest.mark.parametrize("case,rtype,data,problem", BAD_TIMESTAMPS,
+                         ids=[c[0] for c in BAD_TIMESTAMPS])
+def test_session_and_review_timestamps_follow_the_shout_rule(tmp_path, case, rtype,
+                                                             data, problem):
+    path = write_journal(tmp_path / "bad.jsonl", [(1, "shout", GOOD), (2, rtype, data)])
+    with pytest.raises(JournalError) as info:
+        jn.replay(path)
+    assert f"{path}: seq 2: bad {rtype} record: {problem}" == str(info.value)
+    assert_one_line_error(run_tool("export", path), f"seq 2: bad {rtype} record: {problem}")
+
+
 TOOLS = {"export": ("aa.rdf", []), "stats": ("aa.stats", ["--report", "graph"])}
 
 

@@ -190,10 +190,15 @@ class TestJournal:
         Shout(None, "bob", "x", 1),
         Shout("b", 5, "x", 1),
         Shout("b", "bob", b"x", 1),
+        jn.SessionEvent(jn.EVENT_OPEN, Session("s", "bob", SessionOrigin.EXPLICIT,
+                                               10**20, 10**20)),
+        jn.SessionEvent(jn.EVENT_CLOSE, Session("s", "bob", SessionOrigin.EXPLICIT, 0, 1.5)),
+        ValidationReview("s", "alice", 0.5, None, "yesterday"),
     ], ids=["type-and-dict", "object", "shout-with-plain-source",
             "session-with-plain-origin", "created-none", "created-float",
             "created-bool", "created-past-9999", "client_created-text",
-            "client_created-before-year-1", "id-none", "nick-int", "message-bytes"])
+            "client_created-before-year-1", "id-none", "nick-int", "message-bytes",
+            "session-start-past-9999", "session-end-float", "review-created-text"])
     def test_an_item_it_cannot_encode_is_refused_before_the_write(
             self, tmp_path, monkeypatch, item):
         path = tmp_path / "j.jsonl"
@@ -1000,8 +1005,9 @@ class TestShoutCodec:
 
 SESSIONS = st.builds(
     Session, id=st.text(min_size=1, max_size=8), user=st.text(max_size=8),
-    origin=st.sampled_from(SessionOrigin), start=st.integers(-2**40, 2**40),
-    end=st.integers(-2**40, 2**40), slot_duration=st.integers(1, 3600),
+    origin=st.sampled_from(SessionOrigin),
+    start=st.integers(FIRST_TIMESTAMP, LAST_TIMESTAMP),
+    end=st.integers(FIRST_TIMESTAMP, LAST_TIMESTAMP), slot_duration=st.integers(1, 3600),
     shouts=st.lists(st.text(max_size=8), max_size=3).map(tuple),
     screencast=st.one_of(st.none(), st.text(max_size=8)))
 REPORTS = st.dictionaries(st.text(max_size=6), st.one_of(
@@ -1014,7 +1020,7 @@ REVIEWS = st.builds(
     ValidationReview, session=st.text(min_size=1, max_size=8),
     reviewer=st.text(max_size=8), score=st.floats(0, 1),
     comment=st.one_of(st.none(), st.text(max_size=20)),
-    created=st.integers(-2**40, 2**40))
+    created=st.integers(FIRST_TIMESTAMP, LAST_TIMESTAMP))
 
 
 def decode_of_encode(item):

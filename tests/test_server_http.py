@@ -406,6 +406,25 @@ class TestRequestBody:
                                       "detail": "body of 24 bytes, Content-Length 40"}
         assert Path(live_server.store.journal.path).read_bytes() == b""
 
+    @pytest.mark.parametrize("head, body, status, detail", [
+        ("Transfer-Encoding: chunked\r\n", b"13\r\nnick=bob&msg=chunked\r\n0\r\n\r\n",
+         501, "Transfer-Encoding is not served"),
+        ("Content-Length: 0\r\nContent-Length: 21\r\n", b"nick=bob&msg=conflict",
+         400, "Content-Length 0 and 21 differ"),
+    ], ids=["transfer-encoding", "content-lengths-differ"])
+    def test_a_body_it_cannot_frame_is_refused_and_closed(self, live_server, head, body,
+                                                           status, detail):
+        raw = (f"POST /shout?nick=bob&msg=head HTTP/1.1\r\nHost: aa\r\n{head}"
+               "Content-Type: application/x-www-form-urlencoded\r\n\r\n")
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(raw.encode() + body)
+            answered, headers, answer = read_answer(reader)
+            assert reader.read() == b""  # no part of the body answered as a request
+        error = "not_implemented" if status == 501 else "bad_request"
+        assert (answered, json.loads(answer)) == (status, {"error": error, "detail": detail})
+        assert headers["connection"] == "close"
+        assert Path(live_server.store.journal.path).read_bytes() == b""
+
     def test_a_client_that_hangs_up_is_closed_quietly(self, live_server, monkeypatch,
                                                       caplog, capsys):
         sent = []
@@ -493,16 +512,30 @@ class TestConnectionLoop:
             assert [read_answer(reader)[0] for _ in range(2)] == [200, 404]
         assert messages(live_server) == ["lf"]
 
-    @pytest.mark.parametrize("raw, status", [
-        (request("/" + "a" * 70_000), 414),
-        (request("/nope", head=f"X-Long: {'a' * 70_000}\r\n"), 431),
-        (request("/nope", head="X: y\r\n" * 101), 431),
-    ], ids=["request-line", "header-line", "header-count"])
-    def test_oversized_head_is_refused_and_closed(self, live_server, raw, status):
+    @pytest.mark.parametrize("raw, status, error", [
+        (request("/" + "a" * 70_000), 414, "uri_too_long"),
+        (request("/nope", head=f"X-Long: {'a' * 70_000}\r\n"), 431, "headers_too_large"),
+        (request("/nope", head="X: y\r\n" * 101), 431, "headers_too_large"),
+        (request("/shouts", "PUT"), 501, "not_implemented"),
+        (request("/shouts", version="HTTP/2.0"), 505, "version_not_supported"),
+        (request("/shouts", version="HTTP/1.x"), 400, "bad_request"),
+        (request("/shouts", version=""), 400, "bad_request"),
+    ], ids=["request-line", "header-line", "header-count", "method", "version-2",
+            "bad-version", "http-0.9"])
+    def test_oversized_head_is_refused_and_closed(self, live_server, raw, status, error):
         with connect(live_server) as sock, sock.makefile("rb") as reader:
             sock.sendall(raw)
-            assert read_answer(reader)[0] == status
+            answered, headers, body = read_answer(reader)  # a status line, not bare HTML
+            assert (answered, json.loads(body)["error"]) == (status, error)
+            assert headers["connection"] == "close"
             assert reader.read() == b""
+
+    def test_empty_lines_before_a_request_are_skipped(self, live_server):
+        with connect(live_server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"\r\n" + request("/shout?nick=bob&msg=after+crlf", "POST")
+                         + b"\n\r\n" + request("/nope"))
+            assert [read_answer(reader)[0] for _ in range(2)] == [200, 404]
+        assert messages(live_server) == ["after crlf"]
 
     def test_head_cut_by_eof_is_refused_and_journals_nothing(self, live_server):
         with connect(live_server) as sock, sock.makefile("rb") as reader:
@@ -545,24 +578,24 @@ class TestConnectionLoop:
 
     def test_errors_in_a_handler_or_accept_do_not_stop_the_loop(self, live_server,
                                                                  monkeypatch, caplog):
-        parse, accept = server.ShoutHandler.parse_request, socket.socket.accept
-        faults = {"parse": 1, "accept": 1}
+        handle, accept = server.ShoutHandler.handle, socket.socket.accept
+        faults = {"handle": 1, "accept": 1}
 
         def failing(fault, real):
             def wrapper(self, *args):
                 if faults[fault]:
                     faults[fault] -= 1
-                    raise (RuntimeError if fault == "parse" else OSError)(fault)
+                    raise (RuntimeError if fault == "handle" else OSError)(fault)
                 return real(self, *args)
             return wrapper
 
-        monkeypatch.setattr(server.ShoutHandler, "parse_request", failing("parse", parse))
+        monkeypatch.setattr(server.ShoutHandler, "handle", failing("handle", handle))
         with connect(live_server) as sock, sock.makefile("rb") as reader:
             sock.sendall(request("/nope"))
             assert reader.read() == b""  # closed with no answer
         monkeypatch.setattr(socket.socket, "accept", failing("accept", accept))
         assert http_get(live_server.url + "/nope")[0] == 404
-        assert faults == {"parse": 0, "accept": 0}
+        assert faults == {"handle": 0, "accept": 0}
         assert [(r.levelname, r.getMessage()) for r in caplog.records
                 if r.levelno >= logging.WARNING] == [
             ("ERROR", "unhandled error serving 127.0.0.1"),
@@ -570,14 +603,14 @@ class TestConnectionLoop:
 
     def test_an_error_outside_a_handler_closes_only_its_connection(self, live_server,
                                                                    monkeypatch, caplog):
-        frame, faults = server._frame, [RuntimeError("frame")]
+        read_head, faults = server._read_head, [RuntimeError("read_head")]
 
         def failing(*args):
             if faults:
                 raise faults.pop()
-            return frame(*args)
+            return read_head(*args)
 
-        monkeypatch.setattr(server, "_frame", failing)
+        monkeypatch.setattr(server, "_read_head", failing)
         with connect(live_server) as sock:
             sock.sendall(request("/nope"))
             assert sock.recv(1) == b""  # closed with no answer
