@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import selectors
+import socket
+import ssl
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from urllib import error, request
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from .config import load_settings
 from .model import DEFAULT_SLOT, DEFAULT_TOLERANCE
@@ -73,33 +75,86 @@ def load_client_config(path: str | None = None,
 # -- transport -------------------------------------------------------------
 
 
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/[0-9]\.[0-9] ([0-9]{3})[ \r\n]")
+
+
 def _call(config: ClientConfig, method: str, path: str,
           params: dict | None = None, body: dict | None = None) -> dict:
-    url = config.server.rstrip("/") + path
+    """One request to ``config.server`` on a connection of its own, and its
+    JSON answer. A 4xx raises RequestFailed; anything else that is not a 2xx
+    (no answer, a cut or unreadable one, a 3xx, a 5xx) raises TransportError."""
+    url = urlsplit(config.server)
+    target = url.path.rstrip("/") + path
     if params:
-        url += "?" + urlencode({k: v for k, v in params.items() if v is not None})
-    data = None
-    headers = {}
+        target += "?" + urlencode({k: v for k, v in params.items() if v is not None})
+    data = b"" if body is None else json.dumps(body).encode()
+    head = (f"{method} {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
+            f"Connection: close\r\nContent-Length: {len(data)}\r\n")
     if body is not None:
-        data = json.dumps(body).encode()
-        headers["Content-Type"] = "application/json"
-    req = request.Request(url, data=data, headers=headers, method=method)
+        head += "Content-Type: application/json\r\n"
     try:
-        with request.urlopen(req, timeout=config.timeout) as resp:
-            payload = resp.read()
-    except error.HTTPError as exc:
-        detail = exc.read()
-        if exc.code >= 500:
-            raise TransportError(f"server failure {exc.code}") from exc
-        try:
-            parsed = json.loads(detail)
-            raise RequestFailed(parsed.get("error", "error"),
-                                parsed.get("detail", "")) from exc
-        except json.JSONDecodeError:
-            raise RequestFailed("error", detail.decode(errors="replace")) from exc
-    except (error.URLError, OSError, TimeoutError) as exc:
+        status, payload = _exchange(url, (head + "\r\n").encode() + data,
+                                    config.timeout)
+    except (OSError, ValueError) as exc:  # ssl errors are OSErrors
         raise TransportError(str(exc)) from exc
-    return json.loads(payload)
+    if 200 <= status < 300:
+        return json.loads(payload)
+    if not 400 <= status < 500:
+        raise TransportError(f"server answered {status}")
+    try:
+        parsed = json.loads(payload)
+    except ValueError:
+        parsed = None
+    if isinstance(parsed, dict):
+        raise RequestFailed(parsed.get("error", "error"), parsed.get("detail", ""))
+    raise RequestFailed("error", payload.decode(errors="replace"))
+
+
+def _exchange(url, request: bytes, timeout: float) -> tuple[int, bytes]:
+    """Send ``request`` to the server at ``url`` and read its answer: the
+    status, and the body up to its Content-Length, or to EOF without one."""
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"not an http or https URL: {url.geturl()!r}")
+    tls = url.scheme == "https"
+    sock = socket.create_connection((url.hostname, url.port or (443 if tls else 80)),
+                                    timeout)
+    try:
+        if tls:
+            sock = ssl.create_default_context().wrap_socket(
+                sock, server_hostname=url.hostname)
+        sock.sendall(request)
+        answer = bytearray()
+        while not (end := _HEAD_END.search(answer)):
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ValueError("answer head cut short")
+            answer += chunk
+        status = _STATUS_LINE.match(answer)
+        if not status:
+            raise ValueError(f"bad status line {bytes(answer[:40])!r}")
+        length = None
+        for line in answer[:end.start()].split(b"\n")[1:]:
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                length = int(value)
+                if length < 0:
+                    raise ValueError(f"Content-Length {length}")
+            elif name == b"transfer-encoding":
+                raise ValueError("a Transfer-Encoding answer is not read")
+        body = answer[end.end():]
+        while length is None or len(body) < length:
+            chunk = sock.recv(65536)
+            if not chunk:
+                if length is None:
+                    break
+                raise ValueError(f"answer body of {len(body)} bytes, "
+                                 f"Content-Length {length}")
+            body += chunk
+    finally:
+        sock.close()
+    return int(status[1]), bytes(body[:length])
 
 
 def api_shout(config: ClientConfig, message: str, *, source: str = "http",

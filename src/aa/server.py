@@ -211,6 +211,7 @@ _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _MAX_LINE = 65536  # most bytes in a request line (else 414) or a header line (else 431)
 _MAX_HEADERS = 100  # lines after the request line, the empty one included (else 431)
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_FIELD_NAME = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a token (RFC 9110 section 5.6.2)
 
 
 class Head(NamedTuple):
@@ -256,7 +257,9 @@ def _read_head(buf: bytearray, start: int, eof: bool) -> Head | tuple | None:
         elif line in ("\r\n", "\n"):
             break
         else:
-            name, _, value = line.partition(":")
+            name, colon, value = line.partition(":")
+            if not (colon and _FIELD_NAME.fullmatch(name)):  # an obs-fold too (section 5.2)
+                return "bad_request", f"bad header line {line.rstrip()!r:.80}", 400
             name, value = name.lower(), value.strip()
             if name not in headers:
                 headers[name] = value

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -11,6 +12,9 @@ from aa.client import (
     EXIT_SPOOLED,
     EXIT_USAGE,
     ClientConfig,
+    RequestFailed,
+    TransportError,
+    _call,
     api_shout,
     cmd_shout,
     load_client_config,
@@ -65,6 +69,116 @@ def flaky_server():
     yield server
     server.shutdown()
     server.server_close()
+
+
+class CannedServer:
+    """Answers each of its connections with the next of ``answers`` as raw
+    bytes, after reading the request, then closes it."""
+
+    def __init__(self, answers: list[bytes]):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        self.requests: list[bytes] = []
+        self.thread = threading.Thread(target=self._serve, args=(answers,), daemon=True)
+        self.thread.start()
+
+    def _serve(self, answers: list[bytes]) -> None:
+        for answer in answers:
+            conn, _ = self.sock.accept()
+            with conn:
+                conn.settimeout(5)
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                head = request.split(b"\r\n\r\n")[0].lower()
+                length = int(head.partition(b"content-length:")[2].split(b"\r\n")[0] or 0)
+                while len(request) < len(head) + 4 + length:
+                    request += conn.recv(65536)
+                self.requests.append(request)
+                conn.sendall(answer)
+
+    def close(self) -> None:
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+        self.sock.close()
+
+
+@pytest.fixture
+def canned():
+    servers = []
+
+    def start(*answers: bytes) -> CannedServer:
+        servers.append(CannedServer(list(answers)))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def canned_config(tmp_path, url: str) -> ClientConfig:
+    return ClientConfig(server=url, nick="bob", spool=str(tmp_path / "spool.jsonl"),
+                        timeout=5)
+
+
+class TestTransport:
+    def test_an_answer_without_content_length_is_read_to_eof(self, tmp_path, canned):
+        server = canned(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
+                        b'{"latest": []}')
+        config = canned_config(tmp_path, server.url + "/aa/")
+        assert _call(config, "GET", "/report", params={"n": 1, "skip": None}) == \
+            {"latest": []}
+        assert server.requests == [b"GET /aa/report?n=1 HTTP/1.1\r\n"
+                                   + f"Host: {server.url[7:]}\r\n".encode()
+                                   + b"Connection: close\r\nContent-Length: 0\r\n\r\n"]
+
+    def test_a_json_body_is_sent_with_its_type_and_length(self, tmp_path, canned):
+        server = canned(b'HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}')
+        assert _call(canned_config(tmp_path, server.url), "POST", "/message",
+                     body={"msg": "start"}) == {}
+        head, _, body = server.requests[0].partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"POST /message HTTP/1.1"
+        assert b"Content-Type: application/json" in head.split(b"\r\n")
+        assert b"Content-Length: 16" in head.split(b"\r\n")
+        assert json.loads(body) == {"msg": "start"}
+
+    def test_a_body_cut_short_is_a_transport_error_and_the_shout_spools(self, tmp_path,
+                                                                         canned):
+        cut = b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"id": "x'
+        server = canned(cut, cut)
+        config = canned_config(tmp_path, server.url)
+        with pytest.raises(TransportError, match="body of 9 bytes, Content-Length 40"):
+            _call(config, "GET", "/report")
+        assert cmd_shout(config, "cut off", out=lambda *_: None) == EXIT_SPOOLED
+        assert [r["data"]["message"] for r in spool_load(config)] == ["cut off"]
+
+    @pytest.mark.parametrize("answer", [
+        b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\nContent-Length: 0\r\n\r\n",
+        b'HTTP/1.1 503 Service Unavailable\r\nContent-Length: 17\r\n\r\n{"error": "busy"}',
+        b"SMTP ready\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    ], ids=["302", "503", "garbage-status-line", "head-cut-short", "negative-length",
+            "chunked"])
+    def test_no_usable_answer_is_a_transport_error(self, tmp_path, canned, answer):
+        server = canned(answer)
+        with pytest.raises(TransportError):
+            _call(canned_config(tmp_path, server.url), "GET", "/report")
+
+    def test_a_4xx_with_a_text_body_is_refused_with_that_text(self, tmp_path, canned):
+        server = canned(b"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n\r\nno route\n")
+        with pytest.raises(RequestFailed) as refused:
+            _call(canned_config(tmp_path, server.url), "GET", "/nope")
+        assert (refused.value.code, str(refused.value)) == ("error", "error: no route\n")
+
+    def test_an_https_url_at_a_plain_server_is_a_transport_error(self, tmp_path,
+                                                                 live_server):
+        config = ClientConfig(server="https" + live_server.url[4:], nick="bob",
+                              spool=str(tmp_path / "spool.jsonl"), timeout=1)
+        with pytest.raises(TransportError):
+            _call(config, "GET", "/report")
+        assert cmd_shout(config, "over tls", out=lambda *_: None) == EXIT_SPOOLED
 
 
 class TestShoutCommand:

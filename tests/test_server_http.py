@@ -411,7 +411,16 @@ class TestRequestBody:
          501, "Transfer-Encoding is not served"),
         ("Content-Length: 0\r\nContent-Length: 21\r\n", b"nick=bob&msg=conflict",
          400, "Content-Length 0 and 21 differ"),
-    ], ids=["transfer-encoding", "content-lengths-differ"])
+        ("Content-Length : 21\r\n", b"nick=bob&msg=conflict",
+         400, "bad header line 'Content-Length : 21'"),
+        ("Transfer-Encoding : chunked\r\n", b"13\r\nnick=bob&msg=chunked\r\n0\r\n\r\n",
+         400, "bad header line 'Transfer-Encoding : chunked'"),
+        ("Content-Length: 21\r\n X-Folded: on\r\n", b"nick=bob&msg=conflict",
+         400, "bad header line ' X-Folded: on'"),
+        ("Content-Length 21\r\n", b"nick=bob&msg=conflict",
+         400, "bad header line 'Content-Length 21'"),
+    ], ids=["transfer-encoding", "content-lengths-differ", "space-before-colon",
+            "space-before-colon-transfer-encoding", "obs-fold", "no-colon"])
     def test_a_body_it_cannot_frame_is_refused_and_closed(self, live_server, head, body,
                                                            status, detail):
         raw = (f"POST /shout?nick=bob&msg=head HTTP/1.1\r\nHost: aa\r\n{head}"
