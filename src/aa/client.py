@@ -80,10 +80,11 @@ _STATUS_LINE = re.compile(rb"HTTP/[0-9]\.[0-9] ([0-9]{3})[ \r\n]")
 
 
 def _call(config: ClientConfig, method: str, path: str,
-          params: dict | None = None, body: dict | None = None) -> dict:
+          params: dict | None = None, body: dict | None = None) -> dict | list:
     """One request to ``config.server`` on a connection of its own, and its
     JSON answer. A 4xx raises RequestFailed; anything else that is not a 2xx
-    (no answer, a cut or unreadable one, a 3xx, a 5xx) raises TransportError."""
+    with a JSON body (no answer, a cut or unreadable one, a 3xx, a 5xx)
+    raises TransportError."""
     url = urlsplit(config.server)
     target = url.path.rstrip("/") + path
     if params:
@@ -98,14 +99,15 @@ def _call(config: ClientConfig, method: str, path: str,
                                     config.timeout)
     except (OSError, ValueError) as exc:  # ssl errors are OSErrors
         raise TransportError(str(exc)) from exc
-    if 200 <= status < 300:
-        return json.loads(payload)
-    if not 400 <= status < 500:
-        raise TransportError(f"server answered {status}")
     try:
         parsed = json.loads(payload)
     except ValueError:
         parsed = None
+    if 200 <= status < 300 and parsed is not None:
+        return parsed
+    if not 400 <= status < 500:
+        raise TransportError(f"server answered {status}"
+                             + (" without JSON" if status < 300 else ""))
     if isinstance(parsed, dict):
         raise RequestFailed(parsed.get("error", "error"), parsed.get("detail", ""))
     raise RequestFailed("error", payload.decode(errors="replace"))
@@ -157,26 +159,35 @@ def _exchange(url, request: bytes, timeout: float) -> tuple[int, bytes]:
     return int(status[1]), bytes(body[:length])
 
 
+def _call_object(config: ClientConfig, method: str, path: str, **kwargs) -> dict:
+    """``_call`` to a route that answers a JSON object; a 2xx with other JSON
+    (``GET /shouts`` answers an array) raises TransportError too."""
+    answer = _call(config, method, path, **kwargs)
+    if not isinstance(answer, dict):
+        raise TransportError(f"server answered {type(answer).__name__}, not an object")
+    return answer
+
+
 def api_shout(config: ClientConfig, message: str, *, source: str = "http",
               client_created: int | None = None) -> dict:
     params = {"nick": config.nick, "msg": message, "source": source,
               "client_created": client_created}
-    return _call(config, "POST", "/shout", params=params)
+    return _call_object(config, "POST", "/shout", params=params)
 
 
 def api_message(config: ClientConfig, msg: str, batch: list | None = None,
                 nick: str | None = None) -> dict:
     body = {"nick": nick or config.nick, "msg": msg, "batch": batch}
-    return _call(config, "POST", "/message", body=body)
+    return _call_object(config, "POST", "/message", body=body)
 
 
 def api_lost(config: ClientConfig, session_id: str, slot: int) -> dict:
-    return _call(config, "POST", f"/session/{session_id}/lost",
-                 params={"slot": slot})
+    return _call_object(config, "POST", f"/session/{session_id}/lost",
+                        params={"slot": slot})
 
 
 def api_report(config: ClientConfig, n: int = 20) -> dict:
-    return _call(config, "GET", "/report", params={"n": n})
+    return _call_object(config, "GET", "/report", params={"n": n})
 
 
 # -- spool -------------------------------------------------------------------

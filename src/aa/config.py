@@ -79,10 +79,6 @@ class SuiteConfig(ParserConfig):
     def __post_init__(self) -> None:
         SlotGrid(0, self.slot, self.tolerance)
 
-    def parser_config(self) -> ParserConfig:
-        return ParserConfig(**{f.name: getattr(self, f.name)
-                               for f in fields(ParserConfig)})
-
 
 def load_config(path: str | None = None,
                 env: dict[str, str] | None = None) -> SuiteConfig:

@@ -373,7 +373,8 @@ class ReplayState:
 
     ``shouts`` keeps arrival order. ``by_created`` and ``by_nick`` hold the
     same shouts in created order, all of them and per nick; being derived
-    from ``shouts``, they take no part in comparing two states.
+    from ``shouts``, they take no part in comparing two states. ``members``
+    holds each session's shouts and lost-slot markers, in arrival order.
     """
 
     shouts: list[Shout] = field(default_factory=list)
@@ -381,13 +382,12 @@ class ReplayState:
                                      compare=False, repr=False)
     by_nick: dict[str, CreatedIndex] = field(default_factory=dict,
                                              compare=False, repr=False)
-    shouts_by_id: dict[str, Shout] = field(default_factory=dict)
     sessions: dict[str, Session] = field(default_factory=dict)
     open_sessions: dict[str, str] = field(default_factory=dict)
     reports: dict[str, dict] = field(default_factory=dict)
     validators: dict[str, str] = field(default_factory=dict)
     reviews: dict[str, ValidationReview] = field(default_factory=dict)
-    members: dict[str, list[str]] = field(default_factory=dict)
+    members: dict[str, list[Shout]] = field(default_factory=dict)
     last_seq: int = 0
     last_created: int = 0
 
@@ -405,12 +405,11 @@ class ReplayState:
             if index is None:
                 index = self.by_nick[item.nick] = CreatedIndex()
             index.add(item)
-            self.shouts_by_id[item.id] = item
             if item.created > self.last_created:
                 self.last_created = item.created
             if item.session_ref and item.kind in (MessageKind.SHOUT,
                                                   MessageKind.LOST_TIMESLOT):
-                self.members.setdefault(item.session_ref, []).append(item.id)
+                self.members.setdefault(item.session_ref, []).append(item)
         elif type(item) is SessionEvent:
             session = item.session
             if item.event == EVENT_OPEN:

@@ -220,7 +220,6 @@ class Head(NamedTuple):
     end: int  # where the body starts in the connection's buffer
     method: str
     target: str
-    version: tuple[int, int]
     headers: dict[str, str]  # lower-cased names, each with its first value
     length: int  # of the body, from Content-Length
     expect: bool  # an HTTP/1.1 client waits for an interim 100 Continue
@@ -281,7 +280,7 @@ def _read_head(buf: bytearray, start: int, eof: bool) -> Head | tuple | None:
     connection = headers.get("connection", "").lower()
     if target.startswith("//"):  # else urlsplit reads a host name from the target
         target = "/" + target.lstrip("/")
-    return Head(start, method, target, version, headers, length,
+    return Head(start, method, target, headers, length,
                 version >= (1, 1) and headers.get("expect", "").lower() == "100-continue",
                 connection == "keep-alive" or version >= (1, 1) and connection != "close")
 
@@ -318,7 +317,7 @@ class ShoutServer:
                          # or to start its next request
     MAX_CONNECTIONS = 256  # open at once; one more is answered 503 and closed
 
-    def __init__(self, store: Store, host: str, port: int):
+    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         self.store = store
         self.socket = socket.create_server((host, port))
         self.socket.setblocking(False)
@@ -491,10 +490,6 @@ def _hang_up(sock: socket.socket) -> None:
     sock.close()
 
 
-def create_server(store: Store, host: str = "127.0.0.1", port: int = 0) -> ShoutServer:
-    return ShoutServer(store, host, port)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="aa-server",
                                      description="Run the shout-logging server")
@@ -515,11 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
     try:
         store = Store(config.journal, slot=config.slot, tolerance=config.tolerance,
-                      parser_config=config.parser_config())
+                      parser_config=config)
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    server = create_server(store, config.host, config.port)
+    server = ShoutServer(store, config.host, config.port)
     host, port = server.server_address[:2]
     log.info("serving on http://%s:%s journal=%s", host, port, config.journal)
     try:

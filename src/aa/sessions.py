@@ -118,31 +118,32 @@ def conformance(session: Session, shouts: Sequence[Shout],
     return ConformanceReport(tuple(readings), lost, ideal)
 
 
-def emit_lost_timeslot(session: Session, shouts: Sequence[Shout], slot_index: int,
-                       tolerance: int = DEFAULT_TOLERANCE,
-                       shout_id: str | None = None) -> Shout:
-    """Machine-generated marker for a slot that received no shout.
+def lost_markers(session: Session, shouts: Sequence[Shout],
+                 slots: Iterable[int]) -> list[Shout]:
+    """Machine-generated markers for those of ``slots`` that no lost-timeslot
+    marker among ``shouts`` holds yet; whether a slot is lost is not checked."""
+    marked = {(s.created - session.start) // session.slot_duration
+              for s in shouts if s.kind is MessageKind.LOST_TIMESLOT}
+    return [Shout(id=uuid.uuid4().hex, nick=session.user, message=LOST_TIMESLOT_TEXT,
+                  created=session.start + index * session.slot_duration,
+                  source=Source.HTTP, kind=MessageKind.LOST_TIMESLOT,
+                  session_ref=session.id)
+            for index in slots if index not in marked]
 
-    Rejected when the slot has an assigned shout, and rejected as a
-    duplicate when a marker for the same slot already exists.
+
+def emit_lost_timeslot(session: Session, shouts: Sequence[Shout], slot_index: int,
+                       tolerance: int = DEFAULT_TOLERANCE) -> Shout:
+    """Marker for a slot that received no shout.
+
+    Rejected as a duplicate when a marker for the same slot already exists,
+    and rejected when the slot has an assigned shout.
     """
-    for existing in shouts:
-        if existing.kind is MessageKind.LOST_TIMESLOT:
-            marker_index = (existing.created - session.start) // session.slot_duration
-            if marker_index == slot_index:
-                raise NotLost(f"slot {slot_index} already marked lost")
-    report = conformance(session, shouts, tolerance=tolerance)
-    if slot_index not in report.lost_slots:
+    markers = lost_markers(session, shouts, (slot_index,))
+    if not markers:
+        raise NotLost(f"slot {slot_index} already marked lost")
+    if slot_index not in conformance(session, shouts, tolerance=tolerance).lost_slots:
         raise NotLost(f"slot {slot_index} of session {session.id} is not lost")
-    return Shout(
-        id=shout_id or uuid.uuid4().hex,
-        nick=session.user,
-        message=LOST_TIMESLOT_TEXT,
-        created=session.start + slot_index * session.slot_duration,
-        source=Source.HTTP,
-        kind=MessageKind.LOST_TIMESLOT,
-        session_ref=session.id,
-    )
+    return markers[0]
 
 
 def assign_validator(session: Session, users: Iterable[User], seed: int) -> User:

@@ -169,15 +169,13 @@ def histogram(shouts: Sequence[Shout], scale: Scale) -> TemporalHistogram:
                                           for label in labels))
 
 
-def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset(),
-             keep_tags: bool = False) -> list[str]:
+def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Lowercase word tokens, internal hyphens and apostrophes kept.
 
-    Tag tokens are dropped unless asked for (they are counted separately),
-    as are stopwords and bare numbers of up to two digits.
+    Tag tokens are dropped (they are counted separately), as are stopwords
+    and bare numbers of up to two digits.
     """
-    pieces = [tok for tok in text.split()
-              if keep_tags or tok[0] not in "#+"]
+    pieces = [tok for tok in text.split() if tok[0] not in "#+"]
     tokens = []
     for raw in _TOKEN_RE.findall(" ".join(pieces).lower()):
         if raw in stopwords:

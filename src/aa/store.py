@@ -26,7 +26,6 @@ from .errors import (
     EmptySession,
     NoEligibleValidator,
     NoOpenSession,
-    NotLost,
     UnknownSession,
 )
 from .model import (
@@ -110,28 +109,19 @@ class Store:
             raise UnknownSession(f"no session {session_id}")
         return session
 
-    def _member_shouts(self, session_id: str) -> list[Shout]:
-        ids = self.state.members.get(session_id, ())
-        return [self.state.shouts_by_id[i] for i in ids]
-
     def _close_session(self, handle: str, now: int) -> list[Shout | jn.SessionEvent]:
         """The lost-slot markers of closing ``handle``'s session, then its close."""
         session_id = self.state.open_sessions.get(handle)
         if session_id is None:
             raise NoOpenSession(f"{handle} has no open session")
         session = replace(self.state.sessions[session_id], end=now)
-        members = self._member_shouts(session_id)
+        members = self.state.members.get(session_id, [])
         try:
             report = eng.conformance(session, members, tolerance=self.tolerance)
         except EmptySession:
             report = eng.EMPTY_REPORT
-        markers = []
-        for index in report.lost_slots:
-            try:
-                markers.append(eng.emit_lost_timeslot(session, members, index,
-                                                      tolerance=self.tolerance))
-            except NotLost:
-                pass  # already marked while the session was open
+        # a slot marked lost while the session was open gets no second marker
+        markers = eng.lost_markers(session, members, report.lost_slots)
         validator = None
         try:
             users = users_from_nicks(self.state.by_nick).values()
@@ -193,8 +183,9 @@ class Store:
             session = self._session(session_id)
             if self.state.open_sessions.get(session.user) == session_id:
                 session = replace(session, end=max(session.start, self._arrival()))
-            marker = eng.emit_lost_timeslot(session, self._member_shouts(session_id),
-                                            slot_index, tolerance=self.tolerance)
+            members = self.state.members.get(session_id, [])
+            marker = eng.emit_lost_timeslot(session, members, slot_index,
+                                            tolerance=self.tolerance)
             self.journal.append_many([marker], self._now())
             return marker
 
@@ -205,8 +196,8 @@ class Store:
             parts = urlsplit(url)
             if parts.scheme not in ("http", "https") or not parts.netloc:
                 raise BadUrl(f"not an http(s) url: {url!r}")
-            updated = replace(session, screencast=url,
-                              shouts=tuple(self.state.members.get(session_id, ())))
+            updated = replace(session, screencast=url, shouts=tuple(
+                s.id for s in self.state.members.get(session_id, ())))
             self.journal.append_many([jn.SessionEvent(jn.EVENT_SCREENCAST, updated)],
                                      self._now())
             return updated
@@ -279,7 +270,7 @@ class Store:
             "start": iso8601(session.start),
             "end": iso8601(session.end),
             "slot": session.slot_duration,
-            "shouts": list(self.state.members.get(session_id, ())),
+            "shouts": [s.id for s in self.state.members.get(session_id, ())],
             "screencast": session.screencast,
             "open": self.state.open_sessions.get(session.user) == session_id,
             "report": self.state.reports.get(session_id),

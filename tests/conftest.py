@@ -11,7 +11,7 @@ from urllib.parse import urlencode
 import pytest
 
 from aa.model import MessageKind, Session, SessionOrigin, Shout
-from aa.server import create_server
+from aa.server import ShoutServer
 from aa.store import Store
 
 
@@ -63,7 +63,7 @@ def store(tmp_path, clock):
 def live_server(tmp_path, clock):
     """A real HTTP server, its loop in a thread, over a fresh store on an ephemeral port."""
     store = Store(str(tmp_path / "server-journal.jsonl"), clock=clock)
-    server = create_server(store, "127.0.0.1", 0)
+    server = ShoutServer(store)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.05),
                               daemon=True)
     thread.start()

@@ -24,7 +24,7 @@ from aa.ircbot import ChatEvent, handle_line
 from aa.model import MessageKind, Session, SessionOrigin, User
 from aa.parsing import ParserConfig, flag_deviation, parse
 from aa.sessions import assign_validator, conformance
-from aa.server import create_server
+from aa.server import ShoutServer
 from aa.store import Store
 from conftest import FakeClock, make_session, make_shout, on_grid_shouts
 
@@ -128,11 +128,12 @@ def test_criterion_3_journal_replay_equivalence(tmp_path):
 
     # stored-session membership invariant over the whole random history
     state = reloaded.state
+    stored = {id(s) for s in state.shouts}
     for sid, session in state.sessions.items():
         if sid in state.open_sessions.values():
             continue
-        for member_id in state.members.get(sid, ()):
-            member = state.shouts_by_id[member_id]
+        for member in state.members.get(sid, ()):
+            assert id(member) in stored
             assert member.nick == session.user
             assert session.start <= member.created <= session.end
     reloaded.close()
@@ -284,7 +285,7 @@ def test_criterion_7_stats_conservation():
 def test_criterion_8_end_to_end(tmp_path, capsys):
     journal = str(tmp_path / "e2e-journal.jsonl")
     store = Store(journal, slot=5, tolerance=2)
-    server = create_server(store, "127.0.0.1", 0)
+    server = ShoutServer(store)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.05),
                               daemon=True)
     thread.start()

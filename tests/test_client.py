@@ -15,6 +15,7 @@ from aa.client import (
     RequestFailed,
     TransportError,
     _call,
+    api_report,
     api_shout,
     cmd_shout,
     load_client_config,
@@ -142,6 +143,11 @@ class TestTransport:
         assert b"Content-Length: 16" in head.split(b"\r\n")
         assert json.loads(body) == {"msg": "start"}
 
+    def test_a_json_array_is_the_answer_of_a_listing(self, tmp_path, canned):
+        # GET /shouts?format=json answers an array; the api_* calls want an object
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]")
+        assert _call(canned_config(tmp_path, server.url), "GET", "/shouts") == []
+
     def test_a_body_cut_short_is_a_transport_error_and_the_shout_spools(self, tmp_path,
                                                                          canned):
         cut = b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"id": "x'
@@ -159,12 +165,17 @@ class TestTransport:
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
         b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 15\r\n\r\n<html>hi</html>",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
     ], ids=["302", "503", "garbage-status-line", "head-cut-short", "negative-length",
-            "chunked"])
+            "chunked", "200-html", "200-array"])
     def test_no_usable_answer_is_a_transport_error(self, tmp_path, canned, answer):
-        server = canned(answer)
+        server = canned(answer, answer)
+        config = canned_config(tmp_path, server.url)
         with pytest.raises(TransportError):
-            _call(canned_config(tmp_path, server.url), "GET", "/report")
+            api_report(config)
+        assert cmd_shout(config, "no answer", out=lambda *_: None) == EXIT_SPOOLED
+        assert [r["data"]["message"] for r in spool_load(config)] == ["no answer"]
 
     def test_a_4xx_with_a_text_body_is_refused_with_that_text(self, tmp_path, canned):
         server = canned(b"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n\r\nno route\n")

@@ -2,6 +2,7 @@ import pytest
 
 from aa.client import load_client_config
 from aa.config import load_config, parse_kv
+from aa.store import Store
 
 
 def test_parse_kv_basics():
@@ -49,10 +50,14 @@ def test_unknown_key_rejected(tmp_path):
         load_config(str(path), env={})
 
 
-def test_parser_config_projection():
+def test_suite_config_is_the_store_parser_config(tmp_path):
     config = load_config(env={"AA_WORD_LEXICON": "coding,reading"})
-    parser_config = config.parser_config()
-    assert parser_config.word_lexicon == frozenset({"coding", "reading"})
+    store = Store(str(tmp_path / "j.jsonl"), parser_config=config)
+    try:
+        shout = store.receive_shout("bob", "reading the spec")
+    finally:
+        store.close()
+    assert [t.surface for t in shout.tags] == ["reading"]
 
 
 @pytest.mark.parametrize("load", [load_config, load_client_config])

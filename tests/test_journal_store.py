@@ -15,7 +15,7 @@ import pytest
 from conftest import FakeClock, make_session, make_shout
 from hypothesis import given, settings, strategies as st
 
-from aa import journal as jn
+from aa import journal as jn, sessions
 from aa.errors import (
     BadFilter,
     BadUrl,
@@ -284,9 +284,10 @@ class TestJournal:
 
 
 def assert_state_invariants(state: jn.ReplayState, path: str) -> None:
-    """Members name stored shouts, ``last_seq`` counts the file's records, and
+    """Members are stored shouts, ``last_seq`` counts the file's records, and
     ``last_created`` is the newest ``created`` (0 for none newer)."""
-    assert all(i in state.shouts_by_id for ids in state.members.values() for i in ids)
+    stored = {id(s) for s in state.shouts}
+    assert all(id(m) in stored for members in state.members.values() for m in members)
     assert state.last_seq == len(list(jn.read_records(path)))
     assert state.last_created == max([0] + [s.created for s in state.shouts])
 
@@ -590,7 +591,8 @@ class TestMessageDispatch:
         sid = store.receive_message("bob", "start")["session"]
         result = store.receive_message(
             "bob", "push", batch=[{"message": "caught up", "client_created": 5}])
-        assert store.state.members[sid] == result["ids"]
+        pushed = [s for s in store.state.shouts if s.id in result["ids"]]
+        assert list(map(id, store.state.members[sid])) == list(map(id, pushed))
 
     def test_plain_message_is_shout(self, store):
         result = store.receive_message("bob", "plain working note")
@@ -627,6 +629,49 @@ class TestLostSlots:
         marked = [(s.created - start) // 900 for s in store.list_shouts()
                   if s.kind is MessageKind.LOST_TIMESLOT]
         assert marked == [1, 2]
+
+    def test_stop_grades_the_session_once(self, store, clock, monkeypatch):
+        sid = store.receive_message("bob", "start")["session"]
+        clock.advance(900)
+        store.receive_shout("bob", "slot one")
+        store.emit_lost(sid, 0)
+        calls, grade = [], sessions.conformance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grade(*args, **kwargs)
+
+        monkeypatch.setattr(sessions, "conformance", counted)
+        clock.advance(2 * 900 + 10)
+        result = store.receive_message("bob", "stop")
+        assert result["report"]["lost_slots"] == [0, 2, 3]
+        assert len(calls) == 1
+        start = store.state.sessions[sid].start
+        marked = [(s.created - start) // 900 for s in store.state.members[sid]
+                  if s.kind is MessageKind.LOST_TIMESLOT]
+        assert marked == [0, 2, 3]
+
+    @pytest.mark.parametrize("offset", [2000, -5000], ids=["later", "older"])
+    def test_stop_grades_the_members_own_shout_under_a_reused_id(self, tmp_path, clock,
+                                                                 offset):
+        """A journal may hold two shouts under one id (a hand-edited one may);
+        a session's member is its own shout, not a later one reusing its id."""
+        path = str(tmp_path / "reused.jsonl")
+        store = Store(path, clock=clock)
+        sid = store.receive_message("alice", "start")["session"]
+        start = store.state.sessions[sid].start
+        store.journal.append_many(
+            [make_shout("dup", nick="alice", created=start + 900, session_ref=sid),
+             make_shout("dup", nick="bob", created=start + offset)], start)
+        store.close()
+        clock.advance(2000)
+        store = Store(path, clock=clock)
+        try:
+            result = store.receive_message("alice", "stop")
+        finally:
+            store.close()
+        assert result["report"]["per_shout"] == [["dup", 1, 0, True]]
+        assert result["report"]["lost_slots"] == [0, 2]
 
 
 class TestScreencastAndReview:

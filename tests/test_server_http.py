@@ -13,7 +13,7 @@ import pytest
 from conftest import get_json, http_get, http_post, post_json
 
 from aa import server
-from aa.server import MAX_BODY, ROUTES, ShoutServer, create_server
+from aa.server import MAX_BODY, ROUTES, ShoutServer
 from aa.store import Store
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -630,7 +630,7 @@ class TestConnectionLoop:
 
     def test_shutdown_closes_open_connections(self, tmp_path):
         store = Store(str(tmp_path / "journal.jsonl"))
-        srv = create_server(store)
+        srv = ShoutServer(store)
         thread = threading.Thread(target=srv.serve_forever, args=(0.05,))
         thread.start()
         try:

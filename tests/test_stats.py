@@ -94,9 +94,6 @@ class TestTokenize:
     def test_tags_excluded(self):
         assert tokenize("#aa reading") == ["reading"]
 
-    def test_tags_kept_on_request(self):
-        assert tokenize("#aa reading", keep_tags=True) == ["aa", "reading"]
-
     def test_small_numbers_dropped(self):
         assert tokenize("port 80 rfc 1459") == ["port", "rfc", "1459"]
 
