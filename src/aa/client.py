@@ -168,11 +168,20 @@ def _call_object(config: ClientConfig, method: str, path: str, **kwargs) -> dict
     return answer
 
 
+def _text_field(answer: dict, key: str) -> str:
+    """``answer[key]``; a 2xx that does not hold it as text raises TransportError."""
+    if not isinstance(value := answer.get(key), str):
+        raise TransportError(f"server answered no text {key!r}")
+    return value
+
+
 def api_shout(config: ClientConfig, message: str, *, source: str = "http",
               client_created: int | None = None) -> dict:
     params = {"nick": config.nick, "msg": message, "source": source,
               "client_created": client_created}
-    return _call_object(config, "POST", "/shout", params=params)
+    answer = _call_object(config, "POST", "/shout", params=params)
+    _text_field(answer, "id")
+    return answer
 
 
 def api_message(config: ClientConfig, msg: str, batch: list | None = None,
@@ -337,8 +346,7 @@ def session_loop(config: ClientConfig, slots: int = 8, stdin=None,
     """
     stdin = sys.stdin if stdin is None else stdin
     result = SessionResult()
-    start = api_message(config, "start")
-    result.session_id = start["session"]
+    result.session_id = _text_field(api_message(config, "start"), "session")
     out(f"session {result.session_id} started; "
         f"{slots} slots of {config.slot:g}s, answer 'stop' to end early")
     t0 = time.monotonic()
@@ -366,7 +374,9 @@ def session_loop(config: ClientConfig, slots: int = 8, stdin=None,
         try:
             api_shout(config, answer)
             result.sent += 1
-        except (TransportError, RequestFailed) as exc:
+        except RequestFailed as exc:
+            out(f"rejected: {exc}")
+        except TransportError as exc:
             spool_append(config, answer)
             out(f"spooled (server unreachable: {exc})")
     if spool_load(config):

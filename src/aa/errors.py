@@ -51,10 +51,6 @@ class NoOpenSession(AAError):
     code = "no_open_session"
 
 
-class BadFilter(AAError):
-    code = "bad_filter"
-
-
 class BadUrl(AAError):
     code = "bad_url"
 

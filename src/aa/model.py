@@ -109,11 +109,6 @@ def users_from_nicks(nicks: Iterable[str]) -> dict[str, User]:
     return {nick: User(id=nick, nicks=frozenset({nick})) for nick in nicks}
 
 
-def users_from_shouts(shouts: Iterable[Shout]) -> dict[str, User]:
-    """Users derived from the shouts' distinct nicks, in first-seen order."""
-    return users_from_nicks(s.nick for s in shouts)
-
-
 @dataclass(frozen=True)
 class ValidationReview:
     """Peer review of a session; score lives in the unit interval."""

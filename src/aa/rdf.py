@@ -23,7 +23,7 @@ from urllib.parse import quote
 
 from . import journal as jn
 from .errors import JournalError
-from .model import Session, Shout, ValidationReview, iso8601, users_from_shouts
+from .model import Session, Shout, ValidationReview, iso8601, users_from_nicks
 
 DEFAULT_BASE = "http://aa.example.org/"
 
@@ -220,7 +220,7 @@ def export_data(shouts: Sequence[Shout], sessions: Iterable[Session] = (),
             node = minted[kind, identifier] = vocab.instance(kind, identifier)
         return node
 
-    for user in users_from_shouts(shouts).values():
+    for user in users_from_nicks(s.nick for s in shouts).values():
         node = instance("user", user.id)
         add(Triple(node, RDF_TYPE, term("User")))
         for nick in sorted(user.nicks):

@@ -164,7 +164,8 @@ class ShoutHandler:
                          "kind": shout.kind.value})
 
     def _handle_shouts(self, *, format: str = "text", nick: str | None = None,
-                       since: str | None = None, until: str | None = None) -> None:
+                       since: Timestamp | None = None,
+                       until: Timestamp | None = None) -> None:
         filters = {"nick": nick, "since": since, "until": until}
         if format == "json":
             body = self.store.shouts_json(**filters).encode()

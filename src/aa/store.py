@@ -21,7 +21,6 @@ from urllib.parse import urlsplit
 from . import journal as jn
 from . import parsing, sessions as eng
 from .errors import (
-    BadFilter,
     BadUrl,
     EmptySession,
     NoEligibleValidator,
@@ -38,7 +37,6 @@ from .model import (
     ValidationReview,
     iso8601,
     normalize_nick,
-    parse_iso8601,
     users_from_nicks,
 )
 
@@ -218,24 +216,19 @@ class Store:
         with self._lock:
             return users_from_nicks(self.state.by_nick)
 
-    def list_shouts(self, nick: str | None = None, since: str | None = None,
-                    until: str | None = None) -> list[Shout]:
+    def list_shouts(self, nick: str | None = None, since: int | None = None,
+                    until: int | None = None) -> list[Shout]:
         """Shouts ordered by creation time (arrival order breaks ties).
 
-        ``since`` and ``until`` are inclusive ISO 8601 bounds on ``created``.
+        ``since`` and ``until`` are inclusive bounds on ``created``, in epoch seconds.
         """
-        try:
-            lo = parse_iso8601(since) if since else None
-            hi = parse_iso8601(until) if until else None
-        except ValueError as exc:
-            raise BadFilter(f"bad time range: {exc}") from exc
         handle = normalize_nick(nick) if nick else None
         with self._lock:
             index = self.state.by_nick.get(handle) if handle else self.state.by_created
             ordered = index.ordered() if index else []
-            start = 0 if lo is None else bisect_left(ordered, lo, key=jn.created_of)
-            end = (len(ordered) if hi is None
-                   else bisect_right(ordered, hi, key=jn.created_of))
+            start = 0 if since is None else bisect_left(ordered, since, key=jn.created_of)
+            end = (len(ordered) if until is None
+                   else bisect_right(ordered, until, key=jn.created_of))
             return ordered[start:end]
 
     def shouts_text(self, **filters) -> str:

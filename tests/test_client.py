@@ -122,6 +122,11 @@ def canned_config(tmp_path, url: str) -> ClientConfig:
                         timeout=5)
 
 
+def json_answer(status: str, payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+
+
 class TestTransport:
     def test_an_answer_without_content_length_is_read_to_eof(self, tmp_path, canned):
         server = canned(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
@@ -176,6 +181,14 @@ class TestTransport:
             api_report(config)
         assert cmd_shout(config, "no answer", out=lambda *_: None) == EXIT_SPOOLED
         assert [r["data"]["message"] for r in spool_load(config)] == ["no answer"]
+
+    @pytest.mark.parametrize("payload", [{"ok": True}, {"id": 7}], ids=["no-id", "int-id"])
+    def test_a_shout_answer_without_a_text_id_spools_the_shout(self, tmp_path, canned,
+                                                                 payload):
+        server = canned(json_answer("200 OK", payload))
+        config = canned_config(tmp_path, server.url)
+        assert cmd_shout(config, "no id", out=lambda *_: None) == EXIT_SPOOLED
+        assert [r["data"]["message"] for r in spool_load(config)] == ["no id"]
 
     def test_a_4xx_with_a_text_body_is_refused_with_that_text(self, tmp_path, canned):
         server = canned(b"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n\r\nno route\n")
@@ -335,6 +348,31 @@ class TestSessionLoop:
         assert result.sent == 0
         assert result.report == {"per_shout": [], "lost_slots": [],
                                  "ideal": False}
+
+    def test_a_start_answer_without_a_session_is_a_transport_error(self, tmp_path,
+                                                                    canned, capsys):
+        from aa.client import EXIT_ERROR, main
+        server = canned(json_answer("200 OK", {"ok": True}))
+        code = main(["--server", server.url, "--spool", str(tmp_path / "s.jsonl"),
+                     "start", "--slots", "1"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("server unreachable: ")
+
+    def test_a_refused_shout_is_rejected_not_spooled(self, tmp_path, canned):
+        server = canned(
+            json_answer("200 OK", {"result": "start", "session": "s1", "event": "opened"}),
+            json_answer("400 Bad Request", {"error": "bad_request", "detail": "nope"}),
+            json_answer("200 OK", {"result": "stop", "session": "s1", "report": None}))
+        config = canned_config(tmp_path, server.url)
+        lines = []
+        result = session_loop(config, slots=1, stdin=io.StringIO("refused\n"),
+                              out=lines.append)
+        assert result.sent == 0
+        assert "rejected: bad_request: nope" in lines
+        assert not any(line.startswith("spooled") for line in lines)
+        assert spool_load(config) == []
+        assert [r.split(b" ")[1] for r in server.requests] == \
+            [b"/message", b"/shout?nick=bob&msg=refused&source=http", b"/message"]
 
     def test_prompt_cadence_tracks_slot(self, tmp_path, live_server):
         config = ClientConfig(server=live_server.url, nick="bob",

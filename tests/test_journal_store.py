@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from aa import journal as jn, sessions
 from aa.errors import (
-    BadFilter,
     BadUrl,
     EmptyMessage,
     EmptySession,
@@ -43,8 +42,7 @@ from aa.model import (
     TagForm,
     TagScope,
     ValidationReview,
-    iso8601,
-    users_from_shouts,
+    users_from_nicks,
 )
 from aa.store import Store, render_text_line, shout_listing_entry
 
@@ -483,16 +481,11 @@ class TestListings:
         assert [s.nick for s in store.list_shouts(nick="Bob")] == ["bob"]
 
     def test_time_range_filter(self, store, clock):
-        store.receive_shout("bob", "early")
+        early = store.receive_shout("bob", "early")
         clock.advance(3600)
         store.receive_shout("bob", "late")
-        since = "2014-05-13T16:53:21Z"  # 1 s after the first arrival
-        hits = store.list_shouts(since=since)
+        hits = store.list_shouts(since=early.created + 1)
         assert [s.message for s in hits] == ["late"]
-
-    def test_bad_filter_rejected(self, store):
-        with pytest.raises(BadFilter):
-            store.list_shouts(since="yesterday-ish")
 
     def test_format_duality(self, store, clock):
         for i in range(4):
@@ -811,10 +804,7 @@ def assert_reads_match_naive_sort(store, queries):
     store.state.shouts = ExplodingList(shouts)
     try:
         for nick, lo, hi, n in queries:
-            since = iso8601(lo) if lo is not None else None
-            until = iso8601(hi) if hi is not None else None
-            assert store.list_shouts(nick, since, until) == \
-                naive_listing(shouts, nick, lo, hi)
+            assert store.list_shouts(nick, lo, hi) == naive_listing(shouts, nick, lo, hi)
             report = store.report(n)
             ordered = naive_listing(shouts, None, None, None)
             assert report["latest"] == \
@@ -822,7 +812,7 @@ def assert_reads_match_naive_sort(store, queries):
             assert report["counts_by_user"] == \
                 dict(sorted(Counter(s.nick for s in shouts).items()))
         assert list(store.users().items()) == \
-            list(users_from_shouts(shouts).items())
+            list(users_from_nicks(s.nick for s in shouts).items())
     finally:
         store.state.shouts = shouts
 
@@ -881,11 +871,9 @@ class TestCreatedIndex:
 
 def assert_json_is_fresh_encoding(store, queries):
     for nick, lo, hi, _ in queries:
-        since = iso8601(lo) if lo is not None else None
-        until = iso8601(hi) if hi is not None else None
-        listed = store.list_shouts(nick, since, until)
+        listed = store.list_shouts(nick, lo, hi)
         fresh = json.dumps([shout_listing_entry(s) for s in listed], sort_keys=True)
-        assert store.shouts_json(nick=nick, since=since, until=until) == fresh
+        assert store.shouts_json(nick=nick, since=lo, until=hi) == fresh
 
 
 def shout_record(seq, shout_id, nick, message, created):

@@ -13,10 +13,22 @@ import pytest
 from conftest import get_json, http_get, http_post, post_json
 
 from aa import server
+from aa.model import iso8601
 from aa.server import MAX_BODY, ROUTES, ShoutServer
 from aa.store import Store
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def get_with_json_body(url: str, body: dict) -> tuple[int, bytes]:
+    request = urllib.request.Request(url, data=json.dumps(body).encode(), method="GET",
+                                     headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
 
 
 class TestShoutEndpoint:
@@ -109,7 +121,42 @@ class TestShoutsListing:
         status, body = http_get(live_server.url + "/shouts",
                                 params={"since": "whenever"})
         assert status == 400
-        assert json.loads(body)["error"] == "bad_filter"
+        assert json.loads(body)["error"] == "bad_request"
+
+    def test_since_and_until_are_timestamps(self, live_server, clock):
+        created = []
+        for i in range(3):
+            _, result = post_json(live_server.url + "/shout",
+                                  params={"nick": "bob", "msg": f"t{i}"})
+            created.append(result["created"])
+            clock.advance(60)
+
+        def listed(**params):
+            entries = get_json(live_server.url + "/shouts",
+                               params={"format": "json", **params})
+            return [e["message"] for e in entries]
+
+        assert listed(since=str(created[1])) == ["t1", "t2"]
+        assert listed(since=str(created[1] + 1), until=str(created[2])) == ["t2"]
+        for bound in (created[0] - 1, *created, created[2] + 1):
+            assert listed(since=iso8601(bound)) == listed(since=str(bound))
+            assert listed(until=iso8601(bound)) == listed(until=str(bound))
+        status, body = get_with_json_body(live_server.url + "/shouts",
+                                          {"format": "json", "until": created[1]})
+        assert status == 200
+        assert [e["message"] for e in json.loads(body)] == ["t0", "t1"]
+        # an empty bound in a JSON body is refused, as an empty client_created is
+        status, body = get_with_json_body(live_server.url + "/shouts", {"since": ""})
+        assert (status, json.loads(body)["error"]) == (400, "bad_request")
+
+    @pytest.mark.parametrize("name, value", [("since", "99999999999999"),
+                                             ("until", "whenever")])
+    def test_a_bad_bound_is_a_bad_request_naming_it(self, live_server, name, value):
+        status, body = http_get(live_server.url + "/shouts", params={name: value})
+        assert status == 400
+        result = json.loads(body)
+        assert result["error"] == "bad_request"
+        assert repr(name) in result["detail"]
 
     def test_format_duality_over_http(self, live_server, clock):
         for i in range(3):
