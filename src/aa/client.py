@@ -20,7 +20,6 @@ from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 
 from .config import load_settings
-from .model import DEFAULT_SLOT, DEFAULT_TOLERANCE
 from .sessions import SlotGrid
 
 EXIT_OK = 0
@@ -38,26 +37,21 @@ class TransportError(Exception):
 class RequestFailed(Exception):
     """The server rejected the request (4xx) with a machine-readable code."""
 
-    def __init__(self, code: str, detail: str):
+    def __init__(self, status: int, code: str, detail: str):
         super().__init__(f"{code}: {detail}")
-        self.code = code
+        self.status, self.code = status, code
 
 
 @dataclass
 class ClientConfig:
     server: str = DEFAULT_SERVER
     nick: str = "anon"
-    slot: float = DEFAULT_SLOT
-    tolerance: float = DEFAULT_TOLERANCE
     spool: str = str(Path.home() / ".config" / "aa" / "spool.jsonl")
     timeout: float = 10.0
 
-    def __post_init__(self) -> None:
-        SlotGrid(0, self.slot, self.tolerance)
-
 
 # timeout is set by code only, never by a file or the environment
-SETTABLE_KEYS = ("server", "nick", "slot", "tolerance", "spool")
+SETTABLE_KEYS = ("server", "nick", "spool")
 
 
 def default_config_path() -> str:
@@ -109,8 +103,8 @@ def _call(config: ClientConfig, method: str, path: str,
         raise TransportError(f"server answered {status}"
                              + (" without JSON" if status < 300 else ""))
     if isinstance(parsed, dict):
-        raise RequestFailed(parsed.get("error", "error"), parsed.get("detail", ""))
-    raise RequestFailed("error", payload.decode(errors="replace"))
+        raise RequestFailed(status, parsed.get("error", "error"), parsed.get("detail", ""))
+    raise RequestFailed(status, "error", payload.decode(errors="replace"))
 
 
 def _exchange(url, request: bytes, timeout: float) -> tuple[int, bytes]:
@@ -168,10 +162,10 @@ def _call_object(config: ClientConfig, method: str, path: str, **kwargs) -> dict
     return answer
 
 
-def _text_field(answer: dict, key: str) -> str:
-    """``answer[key]``; a 2xx that does not hold it as text raises TransportError."""
-    if not isinstance(value := answer.get(key), str):
-        raise TransportError(f"server answered no text {key!r}")
+def _field(answer: dict, key: str, types: tuple[type, ...] = (str,)):
+    """``answer[key]`` when its type is exactly one of ``types``, else TransportError."""
+    if type(value := answer.get(key)) not in types:
+        raise TransportError(f"server answered no usable {key!r}: {value!r:.40}")
     return value
 
 
@@ -180,7 +174,7 @@ def api_shout(config: ClientConfig, message: str, *, source: str = "http",
     params = {"nick": config.nick, "msg": message, "source": source,
               "client_created": client_created}
     answer = _call_object(config, "POST", "/shout", params=params)
-    _text_field(answer, "id")
+    _field(answer, "id")
     return answer
 
 
@@ -188,11 +182,6 @@ def api_message(config: ClientConfig, msg: str, batch: list | None = None,
                 nick: str | None = None) -> dict:
     body = {"nick": nick or config.nick, "msg": msg, "batch": batch}
     return _call_object(config, "POST", "/message", body=body)
-
-
-def api_lost(config: ClientConfig, session_id: str, slot: int) -> dict:
-    return _call_object(config, "POST", f"/session/{session_id}/lost",
-                        params={"slot": slot})
 
 
 def api_report(config: ClientConfig, n: int = 20) -> dict:
@@ -276,10 +265,15 @@ def cmd_shout(config: ClientConfig, message: str, out=print) -> int:
     return EXIT_OK
 
 
+# the codes of a 400 that refuses a record's own content: sending it again cannot help
+REFUSED_RECORD = ("empty_message", "empty_nick", "bad_request")
+
+
 def push(config: ClientConfig, out=print) -> int:
     """Send spooled shouts in order; the spool keeps any unsent suffix.
 
-    Lines that are not a record are dropped from the spool first.
+    Lines that are not a record are dropped from the spool first; a record
+    refused for its own content (``REFUSED_RECORD``) is dropped once refused.
     """
     records, skipped = spool_read(config)
     if skipped:
@@ -297,14 +291,17 @@ def push(config: ClientConfig, out=print) -> int:
             # records keep their own nick so bot spools stay attributed
             api_message(config, "push", batch=[item],
                         nick=data.get("nick") or config.nick)
+            sent += 1
         except (TransportError, RequestFailed) as exc:
-            spool_write(config, records[i:])
-            out(f"pushed {sent}, {len(records) - i} left spooled ({exc})")
-            return EXIT_SPOOLED
-        sent += 1
+            if not (isinstance(exc, RequestFailed) and exc.status == 400
+                    and exc.code in REFUSED_RECORD):
+                spool_write(config, records[i:])
+                out(f"pushed {sent}, {len(records) - i} left spooled ({exc})")
+                return EXIT_SPOOLED
+            out(f"rejected: {exc}")
         spool_write(config, records[i + 1:])
     out(f"pushed {sent}")
-    return EXIT_OK
+    return EXIT_OK if sent == len(records) else EXIT_ERROR
 
 
 @dataclass
@@ -337,28 +334,32 @@ def _read_line(stream, timeout: float) -> tuple[str, str | None]:
     return "line", line.rstrip("\n")
 
 
-def session_loop(config: ClientConfig, slots: int = 8, stdin=None,
-                 out=print, sleep=time.sleep) -> SessionResult:
-    """Run one timed session: prompt each slot, record skips as lost slots.
+def session_loop(config: ClientConfig, slots: int = 8, stdin=None, out=print,
+                 sleep=time.sleep, monotonic=time.monotonic) -> SessionResult:
+    """Run one timed session on the slot grid of the start answer: prompt
+    each slot, record skips as lost slots (the stop marks them on the server).
 
     An empty answer (or no answer within the tolerance) marks the slot
     lost; answering "stop" ends the session early.
     """
     stdin = sys.stdin if stdin is None else stdin
     result = SessionResult()
-    result.session_id = _text_field(api_message(config, "start"), "session")
+    started = api_message(config, "start")
+    result.session_id = _field(started, "session")
+    try:
+        grid = SlotGrid(0, *(_field(started, key, (int, float))
+                             for key in ("slot", "tolerance")))
+    except ValueError as exc:
+        raise TransportError(f"server answered a bad slot grid: {exc}") from None
     out(f"session {result.session_id} started; "
-        f"{slots} slots of {config.slot:g}s, answer 'stop' to end early")
-    t0 = time.monotonic()
+        f"{slots} slots of {grid.slot:g}s, answer 'stop' to end early")
+    t0 = monotonic()
     exhausted = False
     for k in range(slots):
-        mark = t0 + k * config.slot
-        delay = mark - time.monotonic()
-        if delay > 0:
-            sleep(delay)
-        result.prompt_times.append(time.monotonic())
+        sleep(max(0.0, t0 + k * grid.slot - monotonic()))
+        result.prompt_times.append(monotonic())
         out(f"[slot {k}] shout> ")
-        status, answer = ("eof", None) if exhausted else _read_line(stdin, config.tolerance)
+        status, answer = ("eof", None) if exhausted else _read_line(stdin, grid.tolerance)
         if status == "eof":
             exhausted = True
         if answer is not None and answer.strip().lower() == "stop":
@@ -366,10 +367,6 @@ def session_loop(config: ClientConfig, slots: int = 8, stdin=None,
             break
         if answer is None or not answer.strip():
             result.lost.append(k)
-            try:
-                api_lost(config, result.session_id, k)
-            except (TransportError, RequestFailed) as exc:
-                out(f"could not record lost slot {k}: {exc}")
             continue
         try:
             api_shout(config, answer)
@@ -395,7 +392,7 @@ def cmd_status(config: ClientConfig, out=print) -> int:
     except (TransportError, RequestFailed):
         reachable = "unreachable"
     out(f"server {config.server}: {reachable}")
-    out(f"nick: {config.nick}  slot: {config.slot:g}s  tolerance: {config.tolerance:g}s")
+    out(f"nick: {config.nick}")
     out(f"spool: {config.spool} ({depth} pending)")
     return EXIT_OK
 
@@ -419,8 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="aa", description="Work-logging client")
     parser.add_argument("--server", help="server base URL")
     parser.add_argument("--nick")
-    parser.add_argument("--slot", type=float, help="slot duration in seconds")
-    parser.add_argument("--tolerance", type=float, help="prompt tolerance in seconds")
     parser.add_argument("--config", help="client config file")
     parser.add_argument("--spool", help="offline spool path")
     sub = parser.add_subparsers(dest="command", required=True)

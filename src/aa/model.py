@@ -124,7 +124,8 @@ class ValidationReview:
 class Session:
     """A time-contiguous group of shouts from one user.
 
-    ``shouts`` holds member shout ids ordered by creation time.
+    ``shouts`` holds member shout ids in arrival order, with the lost-slot
+    markers made at the session's close last.
     """
 
     id: str

@@ -170,9 +170,11 @@ class ShoutHandler:
         if format == "json":
             body = self.store.shouts_json(**filters).encode()
             self.send_response(200, body, "application/json")
-        else:
+        elif format == "text":
             body = self.store.shouts_text(**filters).encode()
             self.send_response(200, body, "text/plain; charset=utf-8")
+        else:
+            raise ValueError(f"parameter 'format' must be text or json, got {format!r:.60}")
 
     def _handle_message(self, *, nick: str = "", msg: str = "",
                         batch: list[dict] | None = None) -> None:

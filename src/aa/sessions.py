@@ -44,7 +44,7 @@ class SlotGrid:
     tolerance: int = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        if self.slot <= 0 or not 0 <= self.tolerance < self.slot / 2:
+        if not 0 < self.slot < float("inf") or not 0 <= self.tolerance < self.slot / 2:
             raise ValueError("need slot > 0 and 0 <= tolerance < slot/2")
 
 

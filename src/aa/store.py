@@ -151,7 +151,8 @@ class Store:
                                   slot_duration=self.slot)
                 session_ref = session.id
                 after = [jn.SessionEvent(jn.EVENT_OPEN, session)]
-                result = {"result": "start", "session": session.id, "event": event}
+                result = {"result": "start", "session": session.id, "event": event,
+                          "slot": session.slot_duration, "tolerance": self.tolerance}
             elif kind is MessageKind.STOP:
                 after = self._close_session(handle, now)
                 close = after[-1]

@@ -305,11 +305,10 @@ def test_criterion_8_end_to_end(tmp_path, capsys):
             submit)
         assert "shout logged" in reply
 
-        # timed CLI session: 8 prompts, 5 s slots, 2 s tolerance
+        # timed CLI session: 8 prompts on the server's 5 s slots, 2 s tolerance
         answers = "\n".join(f"prompt answer {k}" for k in range(8)) + "\n"
         proc = subprocess.run(
             [sys.executable, "-m", "aa", "--server", url, "--nick", "pat",
-             "--slot", "5", "--tolerance", "2",
              "--spool", str(tmp_path / "spool.jsonl"),
              "start", "--slots", "8"],
             input=answers, capture_output=True, text=True, timeout=70)

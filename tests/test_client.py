@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from aa.client import (
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_SPOOLED,
     EXIT_USAGE,
@@ -24,13 +25,13 @@ from aa.client import (
     spool_append,
     spool_load,
 )
+from aa.model import MessageKind
 
 
 @pytest.fixture
 def client_config(tmp_path, live_server):
-    return ClientConfig(server=live_server.url, nick="bob", slot=900,
-                        tolerance=300, spool=str(tmp_path / "spool.jsonl"),
-                        timeout=5)
+    return ClientConfig(server=live_server.url, nick="bob",
+                        spool=str(tmp_path / "spool.jsonl"), timeout=5)
 
 
 def offline_config(tmp_path):
@@ -125,6 +126,14 @@ def canned_config(tmp_path, url: str) -> ClientConfig:
 def json_answer(status: str, payload: dict) -> bytes:
     body = json.dumps(payload).encode()
     return f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+
+
+def start_answer(slot: float, tolerance: float) -> bytes:
+    return json_answer("200 OK", {"result": "start", "session": "s1", "event": "opened",
+                                  "slot": slot, "tolerance": tolerance})
+
+
+STOP_ANSWER = json_answer("200 OK", {"result": "stop", "session": "s1", "report": None})
 
 
 class TestTransport:
@@ -264,6 +273,31 @@ class TestPush:
         left = [r["data"]["message"] for r in spool_load(config)]
         assert left == ["queued 1", "queued 2"]
 
+    def test_a_record_refused_for_its_content_is_dropped(self, client_config,
+                                                         live_server):
+        spool_append(client_config, "   ")
+        spool_append(client_config, "good one")
+        lines = []
+        assert push(client_config, out=lines.append) == EXIT_ERROR
+        assert lines[0].startswith("rejected: empty_message: ")
+        assert lines[1:] == ["pushed 1"]
+        assert spool_load(client_config) == []
+        assert "good one" in [s.message for s in live_server.store.list_shouts()]
+
+    def test_a_404_keeps_every_record(self, tmp_path, live_server, canned):
+        wrong_path = ClientConfig(server=live_server.url + "/wrong", nick="bob",
+                                  spool=str(tmp_path / "spool.jsonl"), timeout=5)
+        spool_append(wrong_path, "   ")
+        spool_append(wrong_path, "good one")
+        assert push(wrong_path, out=lambda *_: None) == EXIT_SPOOLED
+        assert len(spool_load(wrong_path)) == 2
+        # a 404 drops nothing, whatever its code
+        server = canned(json_answer("404 Not Found", {"error": "empty_message",
+                                                      "detail": "elsewhere"}))
+        refused = canned_config(tmp_path, server.url)
+        assert push(refused, out=lambda *_: None) == EXIT_SPOOLED
+        assert len(spool_load(refused)) == 2
+
 
 def tear_last_line(spool):
     """Cut the spool inside its last record, as a crash mid-append would."""
@@ -315,34 +349,47 @@ class TestTornSpool:
         assert not os.path.exists(client_config.spool)
 
 
+def run_on_clock(config: ClientConfig, clock, lines: list[str], out=None):
+    """An 8-slot session whose sleeps advance the live server's fake clock,
+    so each prompt lands on the server's 900 s grid without waiting."""
+    return session_loop(config, slots=8, stdin=io.StringIO("\n".join(lines) + "\n"),
+                        out=out or (lambda *_: None), sleep=clock.advance,
+                        monotonic=clock)
+
+
 class TestSessionLoop:
-    def test_all_prompts_answered_is_ideal(self, tmp_path, live_server):
-        config = ClientConfig(server=live_server.url, nick="bob",
-                              slot=0.2, tolerance=0.05,
-                              spool=str(tmp_path / "spool.jsonl"), timeout=5)
-        answers = io.StringIO("\n".join(f"answer {k}" for k in range(8)) + "\n")
-        result = session_loop(config, slots=8, stdin=answers,
-                              out=lambda *_: None)
+    def test_all_prompts_answered_is_ideal(self, client_config, clock):
+        result = run_on_clock(client_config, clock, [f"answer {k}" for k in range(8)])
         assert result.sent == 8
         assert result.lost == []
-        assert result.report is not None
+        assert result.report["ideal"] is True
 
-    def test_skipped_prompt_records_lost_slot(self, tmp_path, live_server):
-        config = ClientConfig(server=live_server.url, nick="bob",
-                              slot=0.2, tolerance=0.05,
-                              spool=str(tmp_path / "spool.jsonl"), timeout=5)
-        lines = ["a", "b", "c", "", "e", "f", "g", "h"]
-        answers = io.StringIO("\n".join(lines) + "\n")
-        result = session_loop(config, slots=8, stdin=answers,
-                              out=lambda *_: None)
+    def test_skipped_prompt_records_lost_slot(self, client_config, clock, live_server):
+        result = run_on_clock(client_config, clock, ["a", "b", "c", "", "e", "f", "g", "h"])
         assert result.lost == [3]
         assert result.sent == 7
+        # the stop marks the slot: the server's report names it
+        assert result.report["lost_slots"] == [3]
+        assert result.report["ideal"] is False
+        store = live_server.store
+        start = store.state.sessions[result.session_id].start
+        markers = [s for s in store.list_shouts() if s.kind is MessageKind.LOST_TIMESLOT]
+        assert [m.created for m in markers] == [start + 3 * 900]
 
-    def test_immediate_stop_closes_empty_session(self, tmp_path, live_server):
-        config = ClientConfig(server=live_server.url, nick="bob",
-                              slot=0.2, tolerance=0.05,
-                              spool=str(tmp_path / "spool.jsonl"), timeout=5)
-        result = session_loop(config, slots=8, stdin=io.StringIO("stop\n"),
+    def test_a_skipped_slot_sends_no_request(self, tmp_path, canned):
+        server = canned(start_answer(900, 300),
+                        json_answer("200 OK", {"id": "x1"}),
+                        json_answer("200 OK", {"id": "x2"}),
+                        STOP_ANSWER)
+        config = canned_config(tmp_path, server.url)
+        result = session_loop(config, slots=3, stdin=io.StringIO("a\n\nc\n"),
+                              out=lambda *_: None, sleep=lambda _: None)
+        assert result.lost == [1]
+        assert [r.split(b" ")[1].split(b"?")[0] for r in server.requests] == \
+            [b"/message", b"/shout", b"/shout", b"/message"]
+
+    def test_immediate_stop_closes_empty_session(self, client_config):
+        result = session_loop(client_config, slots=8, stdin=io.StringIO("stop\n"),
                               out=lambda *_: None)
         assert result.stopped_early is True
         assert result.sent == 0
@@ -358,11 +405,27 @@ class TestSessionLoop:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("server unreachable: ")
 
+    @pytest.mark.parametrize("grid", [
+        {}, {"slot": 900}, {"slot": True, "tolerance": 0}, {"slot": "900", "tolerance": 300},
+        {"slot": 10, "tolerance": 6}, {"slot": 0, "tolerance": 0},
+        {"slot": float("nan"), "tolerance": 1}, {"slot": float("inf"), "tolerance": 1},
+    ], ids=["none", "no-tolerance", "bool", "text", "tolerance-too-wide", "zero", "nan",
+            "inf"])
+    def test_a_start_answer_without_a_usable_grid_is_a_transport_error(
+            self, tmp_path, canned, capsys, grid):
+        from aa.client import main
+        server = canned(json_answer("200 OK", {"result": "start", "session": "s1",
+                                               "event": "opened", **grid}))
+        code = main(["--server", server.url, "--spool", str(tmp_path / "s.jsonl"),
+                     "start", "--slots", "1"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("server unreachable: ")
+
     def test_a_refused_shout_is_rejected_not_spooled(self, tmp_path, canned):
         server = canned(
-            json_answer("200 OK", {"result": "start", "session": "s1", "event": "opened"}),
+            start_answer(900, 300),
             json_answer("400 Bad Request", {"error": "bad_request", "detail": "nope"}),
-            json_answer("200 OK", {"result": "stop", "session": "s1", "report": None}))
+            STOP_ANSWER)
         config = canned_config(tmp_path, server.url)
         lines = []
         result = session_loop(config, slots=1, stdin=io.StringIO("refused\n"),
@@ -374,13 +437,15 @@ class TestSessionLoop:
         assert [r.split(b" ")[1] for r in server.requests] == \
             [b"/message", b"/shout?nick=bob&msg=refused&source=http", b"/message"]
 
-    def test_prompt_cadence_tracks_slot(self, tmp_path, live_server):
-        config = ClientConfig(server=live_server.url, nick="bob",
-                              slot=0.5, tolerance=0.2,
-                              spool=str(tmp_path / "spool.jsonl"), timeout=5)
+    def test_prompt_cadence_tracks_slot(self, tmp_path, canned):
+        server = canned(start_answer(0.5, 0.2),
+                        *[json_answer("200 OK", {"id": f"x{k}"}) for k in range(4)],
+                        STOP_ANSWER)
+        config = canned_config(tmp_path, server.url)
         answers = io.StringIO("\n".join("abcd") + "\n")
-        result = session_loop(config, slots=4, stdin=answers,
-                              out=lambda *_: None)
+        lines = []
+        result = session_loop(config, slots=4, stdin=answers, out=lines.append)
+        assert "4 slots of 0.5s" in lines[0]
         gaps = [b - a for a, b in zip(result.prompt_times,
                                       result.prompt_times[1:])]
         assert len(gaps) == 3
@@ -391,22 +456,25 @@ class TestSessionLoop:
 class TestClientConfigLoading:
     def test_file_then_env_precedence(self, tmp_path):
         conf = tmp_path / "client.conf"
-        conf.write_text("server = http://file.example\nnick = filenick\n"
-                        "slot = 600\ntolerance = 120\n")
+        conf.write_text("server = http://file.example\nnick = filenick\n")
         config = load_client_config(str(conf), env={"AA_NICK": "envnick"})
         assert config.server == "http://file.example"
         assert config.nick == "envnick"
-        assert config.slot == 600
-        assert config.tolerance == 120
 
     def test_defaults_without_file(self, tmp_path):
-        config = load_client_config(str(tmp_path / "missing.conf"), env={})
-        assert config.slot == 900
-        assert config.tolerance == 300
+        # the grid variables configure only aa-server
+        config = load_client_config(str(tmp_path / "missing.conf"),
+                                    env={"AA_SLOT": "5", "AA_TOLERANCE": "2"})
+        assert config == ClientConfig()
 
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            ClientConfig(slot=10, tolerance=6)
+    def test_a_grid_key_is_unknown(self, tmp_path, capsys):
+        from aa.client import main
+        conf = tmp_path / "client.conf"
+        conf.write_text("nick = bob\nslot = 600\n")
+        code = main(["--config", str(conf), "--spool", str(tmp_path / "s.jsonl"),
+                     "status"])
+        assert code == EXIT_USAGE
+        assert "unknown config key 'slot'" in capsys.readouterr().err
 
 
 class TestStopAndStatus:
@@ -465,14 +533,9 @@ class TestMainRouting:
                      "--spool", str(tmp_path / "s.jsonl"), "report"])
         assert code == EXIT_ERROR
 
-    def test_invalid_grid_rejected_by_main(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--slot", "--tolerance"])
+    def test_a_grid_flag_is_a_usage_error(self, tmp_path, flag):
         from aa.client import main
-        code = main(["--slot", "10", "--tolerance", "9",
-                     "--spool", str(tmp_path / "s.jsonl"), "status"])
-        assert code == EXIT_USAGE
-
-    def test_zero_slot_rejected_by_main(self, tmp_path, capsys):
-        from aa.client import main
-        code = main(["--slot", "0", "--spool", str(tmp_path / "s.jsonl"), "status"])
-        assert code == EXIT_USAGE
-        assert "need slot > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main([flag, "5", "--spool", str(tmp_path / "s.jsonl"), "status"])
+        assert exited.value.code == EXIT_USAGE

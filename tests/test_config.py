@@ -60,16 +60,15 @@ def test_suite_config_is_the_store_parser_config(tmp_path):
     assert [t.surface for t in shout.tags] == ["reading"]
 
 
-@pytest.mark.parametrize("load", [load_config, load_client_config])
-def test_invalid_grid_refused_on_load(tmp_path, load):
+def test_invalid_grid_refused_on_load(tmp_path):
     path = tmp_path / "aa.conf"
     path.write_text("slot = 900\ntolerance = 500\n")
     with pytest.raises(ValueError, match="need slot > 0"):
-        load(str(path), env={})
+        load_config(str(path), env={})
     empty = tmp_path / "empty.conf"
     empty.write_text("")
     with pytest.raises(ValueError, match="need slot > 0"):
-        load(str(empty), env={"AA_TOLERANCE": "450"})
+        load_config(str(empty), env={"AA_TOLERANCE": "450"})
 
 
 def test_client_unknown_key_rejected(tmp_path):

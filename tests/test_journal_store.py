@@ -505,6 +505,18 @@ class TestMessageDispatch:
         assert result["result"] == "start"
         assert store.state.open_sessions["bob"] == result["session"]
 
+    def test_a_start_answer_carries_the_stores_grid(self, tmp_path, clock):
+        store = Store(str(tmp_path / "grid.jsonl"), clock=clock, slot=600, tolerance=120)
+        try:
+            opened = store.receive_message("bob", "start")
+            clock.advance(100)
+            reanchored = store.receive_message("bob", "start")
+        finally:
+            store.close()
+        assert reanchored["event"] == "reanchored"
+        for result in (opened, reanchored):
+            assert (result["slot"], result["tolerance"]) == (600, 120)
+
     def test_stop_without_start(self, store):
         with pytest.raises(NoOpenSession):
             store.receive_message("bob", "stop")

@@ -158,6 +158,14 @@ class TestShoutsListing:
         assert result["error"] == "bad_request"
         assert repr(name) in result["detail"]
 
+    @pytest.mark.parametrize("value", ["xml", "JSON"])
+    def test_an_unknown_format_is_a_bad_request_naming_it(self, live_server, value):
+        status, body = http_get(live_server.url + "/shouts", params={"format": value})
+        assert status == 400
+        result = json.loads(body)
+        assert result["error"] == "bad_request"
+        assert "'format'" in result["detail"]
+
     def test_format_duality_over_http(self, live_server, clock):
         for i in range(3):
             post_json(live_server.url + "/shout",
