@@ -7,6 +7,7 @@ JSON-lines shape as the server journal) and pushed later in order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -309,9 +310,18 @@ class SessionResult:
     session_id: str | None = None
     prompt_times: list[float] = field(default_factory=list)
     sent: int = 0
-    lost: list[int] = field(default_factory=list)
     report: dict | None = None
     stopped_early: bool = False
+
+
+def _start_grid(started: dict) -> tuple[str, SlotGrid]:
+    """The session id and slot grid of a start answer, else TransportError."""
+    session_id = _field(started, "session")
+    try:
+        return session_id, SlotGrid(0, *(_field(started, key, (int, float))
+                                         for key in ("slot", "tolerance")))
+    except ValueError as exc:
+        raise TransportError(f"server answered a bad slot grid: {exc}") from None
 
 
 def _read_line(stream, timeout: float) -> tuple[str, str | None]:
@@ -336,21 +346,23 @@ def _read_line(stream, timeout: float) -> tuple[str, str | None]:
 
 def session_loop(config: ClientConfig, slots: int = 8, stdin=None, out=print,
                  sleep=time.sleep, monotonic=time.monotonic) -> SessionResult:
-    """Run one timed session on the slot grid of the start answer: prompt
-    each slot, record skips as lost slots (the stop marks them on the server).
+    """Run one timed session on the slot grid of the start answer, prompting
+    each slot; the stop's report names the lost slots.
 
-    An empty answer (or no answer within the tolerance) marks the slot
-    lost; answering "stop" ends the session early.
+    An empty answer (or no answer within the tolerance) sends nothing for
+    the slot; answering "stop" ends the session early. A start answer
+    without a session or a usable grid is a TransportError, raised after
+    one stop closes whatever session the server opened.
     """
     stdin = sys.stdin if stdin is None else stdin
     result = SessionResult()
     started = api_message(config, "start")
-    result.session_id = _field(started, "session")
     try:
-        grid = SlotGrid(0, *(_field(started, key, (int, float))
-                             for key in ("slot", "tolerance")))
-    except ValueError as exc:
-        raise TransportError(f"server answered a bad slot grid: {exc}") from None
+        result.session_id, grid = _start_grid(started)
+    except TransportError:
+        with contextlib.suppress(TransportError, RequestFailed):
+            api_message(config, "stop")
+        raise
     out(f"session {result.session_id} started; "
         f"{slots} slots of {grid.slot:g}s, answer 'stop' to end early")
     t0 = monotonic()
@@ -366,7 +378,6 @@ def session_loop(config: ClientConfig, slots: int = 8, stdin=None, out=print,
             result.stopped_early = True
             break
         if answer is None or not answer.strip():
-            result.lost.append(k)
             continue
         try:
             api_shout(config, answer)

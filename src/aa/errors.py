@@ -26,10 +26,6 @@ class EmptySession(AAError):
     code = "empty_session"
 
 
-class NotLost(AAError):
-    code = "not_lost"
-
-
 class NoEligibleValidator(AAError):
     code = "no_eligible_validator"
 

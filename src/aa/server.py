@@ -6,7 +6,6 @@ Endpoints and their parameters:
   POST     /message                    nick, msg; JSON body may add batch
   POST     /session/<id>/screencast    url
   POST     /session/<id>/review        reviewer, score, comment
-  POST     /session/<id>/lost          slot
   GET      /report                     n
 
 ``ROUTES`` is the table. A handler's keyword-only parameters are its route's,
@@ -190,10 +189,6 @@ class ShoutHandler:
         self._send_json({"session": review.session, "reviewer": review.reviewer,
                          "score": review.score, "comment": review.comment})
 
-    def _handle_lost(self, session_id: str, *, slot: int) -> None:
-        marker = self.store.emit_lost(session_id, slot)
-        self._send_json({"id": marker.id, "slot": slot, "created": marker.created})
-
     def _handle_report(self, *, n: int = 20) -> None:
         self._send_json(self.store.report(n=n))
 
@@ -206,7 +201,6 @@ ROUTES = (
     _entry("screencast", ("POST",), "/session/<id>/screencast",
            ShoutHandler._handle_screencast),
     _entry("review", ("POST",), "/session/<id>/review", ShoutHandler._handle_review),
-    _entry("lost", ("POST",), "/session/<id>/lost", ShoutHandler._handle_lost),
 )
 
 

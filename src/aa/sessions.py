@@ -11,7 +11,6 @@ from .errors import (
     BeforeAnchor,
     EmptySession,
     NoEligibleValidator,
-    NotLost,
     ScoreOutOfRange,
     SelfReview,
 )
@@ -129,21 +128,6 @@ def lost_markers(session: Session, shouts: Sequence[Shout],
                   source=Source.HTTP, kind=MessageKind.LOST_TIMESLOT,
                   session_ref=session.id)
             for index in slots if index not in marked]
-
-
-def emit_lost_timeslot(session: Session, shouts: Sequence[Shout], slot_index: int,
-                       tolerance: int = DEFAULT_TOLERANCE) -> Shout:
-    """Marker for a slot that received no shout.
-
-    Rejected as a duplicate when a marker for the same slot already exists,
-    and rejected when the slot has an assigned shout.
-    """
-    markers = lost_markers(session, shouts, (slot_index,))
-    if not markers:
-        raise NotLost(f"slot {slot_index} already marked lost")
-    if slot_index not in conformance(session, shouts, tolerance=tolerance).lost_slots:
-        raise NotLost(f"slot {slot_index} of session {session.id} is not lost")
-    return markers[0]
 
 
 def assign_validator(session: Session, users: Iterable[User], seed: int) -> User:

@@ -118,7 +118,8 @@ class Store:
             report = eng.conformance(session, members, tolerance=self.tolerance)
         except EmptySession:
             report = eng.EMPTY_REPORT
-        # a slot marked lost while the session was open gets no second marker
+        # the stop is the one writer of markers, but a journal from before that
+        # can hold some inside an open session: their slots get no second one
         markers = eng.lost_markers(session, members, report.lost_slots)
         validator = None
         try:
@@ -175,18 +176,6 @@ class Store:
                           "code": "no_backend"}
             self.journal.append_many(before + [control] + after, written)
             return result
-
-    def emit_lost(self, session_id: str, slot_index: int) -> Shout:
-        """Mark one past slot of a session as lost; duplicates are rejected."""
-        with self._lock:
-            session = self._session(session_id)
-            if self.state.open_sessions.get(session.user) == session_id:
-                session = replace(session, end=max(session.start, self._arrival()))
-            members = self.state.members.get(session_id, [])
-            marker = eng.emit_lost_timeslot(session, members, slot_index,
-                                            tolerance=self.tolerance)
-            self.journal.append_many([marker], self._now())
-            return marker
 
     def attach_screencast(self, session_id: str, url: str) -> Session:
         """Record (or replace) a session's screencast reference."""

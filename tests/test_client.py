@@ -136,6 +136,13 @@ def start_answer(slot: float, tolerance: float) -> bytes:
 STOP_ANSWER = json_answer("200 OK", {"result": "stop", "session": "s1", "report": None})
 
 
+def assert_start_then_stop(server: CannedServer) -> None:
+    """The client sent a start, then one stop, and nothing else."""
+    bodies = [json.loads(r.partition(b"\r\n\r\n")[2]) for r in server.requests]
+    assert [r.split(b" ")[1] for r in server.requests] == [b"/message", b"/message"]
+    assert [b["msg"] for b in bodies] == ["start", "stop"]
+
+
 class TestTransport:
     def test_an_answer_without_content_length_is_read_to_eof(self, tmp_path, canned):
         server = canned(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
@@ -361,12 +368,11 @@ class TestSessionLoop:
     def test_all_prompts_answered_is_ideal(self, client_config, clock):
         result = run_on_clock(client_config, clock, [f"answer {k}" for k in range(8)])
         assert result.sent == 8
-        assert result.lost == []
+        assert result.report["lost_slots"] == []
         assert result.report["ideal"] is True
 
     def test_skipped_prompt_records_lost_slot(self, client_config, clock, live_server):
         result = run_on_clock(client_config, clock, ["a", "b", "c", "", "e", "f", "g", "h"])
-        assert result.lost == [3]
         assert result.sent == 7
         # the stop marks the slot: the server's report names it
         assert result.report["lost_slots"] == [3]
@@ -377,14 +383,15 @@ class TestSessionLoop:
         assert [m.created for m in markers] == [start + 3 * 900]
 
     def test_a_skipped_slot_sends_no_request(self, tmp_path, canned):
+        report = {"per_shout": [], "lost_slots": [1], "ideal": False}
         server = canned(start_answer(900, 300),
                         json_answer("200 OK", {"id": "x1"}),
                         json_answer("200 OK", {"id": "x2"}),
-                        STOP_ANSWER)
+                        json_answer("200 OK", {"result": "stop", "report": report}))
         config = canned_config(tmp_path, server.url)
         result = session_loop(config, slots=3, stdin=io.StringIO("a\n\nc\n"),
                               out=lambda *_: None, sleep=lambda _: None)
-        assert result.lost == [1]
+        assert result.report["lost_slots"] == [1]
         assert [r.split(b" ")[1].split(b"?")[0] for r in server.requests] == \
             [b"/message", b"/shout", b"/shout", b"/message"]
 
@@ -399,11 +406,12 @@ class TestSessionLoop:
     def test_a_start_answer_without_a_session_is_a_transport_error(self, tmp_path,
                                                                     canned, capsys):
         from aa.client import EXIT_ERROR, main
-        server = canned(json_answer("200 OK", {"ok": True}))
+        server = canned(json_answer("200 OK", {"ok": True}), STOP_ANSWER)
         code = main(["--server", server.url, "--spool", str(tmp_path / "s.jsonl"),
                      "start", "--slots", "1"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("server unreachable: ")
+        assert_start_then_stop(server)
 
     @pytest.mark.parametrize("grid", [
         {}, {"slot": 900}, {"slot": True, "tolerance": 0}, {"slot": "900", "tolerance": 300},
@@ -415,11 +423,34 @@ class TestSessionLoop:
             self, tmp_path, canned, capsys, grid):
         from aa.client import main
         server = canned(json_answer("200 OK", {"result": "start", "session": "s1",
-                                               "event": "opened", **grid}))
+                                               "event": "opened", **grid}), STOP_ANSWER)
         code = main(["--server", server.url, "--spool", str(tmp_path / "s.jsonl"),
                      "start", "--slots", "1"])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("server unreachable: ")
+        err = capsys.readouterr().err
+        assert err.startswith("server unreachable: ")
+        assert err.count("\n") == 1
+        assert_start_then_stop(server)
+
+    def test_a_refused_start_answer_leaves_no_open_session(self, client_config,
+                                                           live_server, monkeypatch):
+        """A server from before the grid was in the start answer opens the
+        session; the client refuses the answer and closes the session."""
+        store = live_server.store
+        receive = store.receive_message
+
+        def without_slot(*args, **kwargs):
+            answer = receive(*args, **kwargs)
+            answer.pop("slot", None)
+            return answer
+
+        monkeypatch.setattr(store, "receive_message", without_slot)
+        with pytest.raises(TransportError, match="no usable 'slot'"):
+            session_loop(client_config, slots=1, stdin=io.StringIO("a\n"),
+                         out=lambda *_: None)
+        assert store.report()["open_sessions"] == []
+        assert [s.kind for s in store.list_shouts()] == [MessageKind.START,
+                                                         MessageKind.STOP]
 
     def test_a_refused_shout_is_rejected_not_spooled(self, tmp_path, canned):
         server = canned(

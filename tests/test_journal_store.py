@@ -19,11 +19,9 @@ from aa import journal as jn, sessions
 from aa.errors import (
     BadUrl,
     EmptyMessage,
-    EmptySession,
     EmptyNick,
     JournalError,
     NoOpenSession,
-    NotLost,
     ScoreOutOfRange,
     SelfReview,
     UnknownSession,
@@ -237,7 +235,6 @@ class TestJournal:
             store.receive_message("bob", "push", batch=[{"message": "spooled"}])
             store.receive_message("bob", "tickets")
             clock.advance(2 * 900 + 10)
-            store.emit_lost(sid, 1)
             store.receive_message("bob", "stop")
             store.attach_screencast(sid, "https://v.example/x")
             store.record_review(sid, "ann", 0.5)
@@ -368,7 +365,6 @@ class TestCommit:
         "push": lambda store, ids: store.receive_message(
             "carol", "push", batch=[{"message": "spooled"}]),
         "query": lambda store, ids: store.receive_message("carol", "tickets"),
-        "lost": lambda store, ids: store.emit_lost(ids["open"], 1),
         "screencast": lambda store, ids: store.attach_screencast(
             ids["closed"], "https://v.example/x"),
         "review": lambda store, ids: store.record_review(ids["closed"], "alice", 0.5),
@@ -382,7 +378,7 @@ class TestCommit:
         store.receive_shout("bob", "work")
         clock.advance(900)
         store.receive_message("bob", "stop")
-        open_ = store.receive_message("eve", "start")["session"]
+        store.receive_message("eve", "start")
         store.receive_shout("eve", "slot zero")
         clock.advance(2 * 900 + 10)  # slot 1 of eve's session passes silently
 
@@ -393,7 +389,7 @@ class TestCommit:
         before = snapshot()
         arm()
         with pytest.raises(JournalError):
-            TestCommit.MUTATIONS[mutation](store, {"open": open_, "closed": closed})
+            TestCommit.MUTATIONS[mutation](store, {"closed": closed})
         assert snapshot() == before
 
     @pytest.mark.parametrize("mutation", list(MUTATIONS))
@@ -604,31 +600,20 @@ class TestMessageDispatch:
         assert result["result"] == "shout"
 
 
+def mark_lost(store, session_id, slot, written):
+    """Journal a marker for ``slot`` of an open session, as journals written
+    before lost slots were marked only at the stop can hold."""
+    session = store.state.sessions[session_id]
+    members = store.state.members.get(session_id, [])
+    store.journal.append_many(sessions.lost_markers(session, members, (slot,)), written)
+
+
 class TestLostSlots:
-    def test_emit_lost_marks_past_slot(self, store, clock):
-        sid = store.receive_message("bob", "start")["session"]
-        store.receive_shout("bob", "slot zero")
-        clock.advance(2 * 900 + 10)
-        marker = store.emit_lost(sid, 1)
-        assert marker.kind is MessageKind.LOST_TIMESLOT
-
-    def test_duplicate_emission_rejected(self, store, clock):
-        sid = store.receive_message("bob", "start")["session"]
-        store.receive_shout("bob", "slot zero")
-        clock.advance(2 * 900 + 10)
-        store.emit_lost(sid, 1)
-        with pytest.raises(NotLost):
-            store.emit_lost(sid, 1)
-
-    def test_unknown_session(self, store):
-        with pytest.raises(UnknownSession):
-            store.emit_lost("nope", 0)
-
     def test_stop_skips_slot_already_marked(self, store, clock):
         sid = store.receive_message("bob", "start")["session"]
         store.receive_shout("bob", "slot zero")
         clock.advance(2 * 900 + 10)
-        store.emit_lost(sid, 1)
+        mark_lost(store, sid, 1, clock.now)
         store.receive_message("bob", "stop")
         start = store.state.sessions[sid].start
         marked = [(s.created - start) // 900 for s in store.list_shouts()
@@ -639,7 +624,7 @@ class TestLostSlots:
         sid = store.receive_message("bob", "start")["session"]
         clock.advance(900)
         store.receive_shout("bob", "slot one")
-        store.emit_lost(sid, 0)
+        mark_lost(store, sid, 0, clock.now)
         calls, grade = [], sessions.conformance
 
         def counted(*args, **kwargs):
@@ -787,14 +772,13 @@ NICKS = ("bob", "eve", "ann")
 START = int(FakeClock().now)
 
 # one step against a live store: a plain shout, a start or stop (a stop may
-# mark lost slots in the past), an explicit lost mark, an import of older
-# mined shouts through the journal (the store is then rebuilt), or a read
+# mark lost slots in the past), an import of older mined shouts through the
+# journal (the store is then rebuilt), or a read
 STEPS = st.one_of(
     st.tuples(st.just("shout"), st.sampled_from(NICKS),
               st.sampled_from([0, 0, 1, 30, 1000])),
     st.tuples(st.sampled_from(["start", "stop"]), st.sampled_from(NICKS),
               st.sampled_from([0, 1, 2000])),
-    st.tuples(st.just("lost"), st.sampled_from(NICKS), st.integers(0, 3)),
     st.tuples(st.just("import"), st.sampled_from(NICKS),
               st.lists(st.integers(-3000, 3000), min_size=1, max_size=4)),
     st.tuples(st.just("read"), st.none(), st.none()),
@@ -846,12 +830,6 @@ def run_steps(steps, check):
                     try:
                         store.receive_message(nick, op)
                     except NoOpenSession:
-                        pass
-                elif op == "lost":
-                    sid = store.state.open_sessions.get(nick)
-                    try:
-                        store.emit_lost(sid or "none", arg)
-                    except (EmptySession, NotLost, UnknownSession):
                         pass
                 elif op == "import":
                     store.close()

@@ -283,18 +283,6 @@ class TestSessionEndpoints:
         assert status == 400
         assert result["error"] == "score_out_of_range"
 
-    def test_lost_endpoint(self, live_server, clock):
-        _, started = post_json(live_server.url + "/message",
-                               body={"nick": "bob", "msg": "start"})
-        post_json(live_server.url + "/shout",
-                  params={"nick": "bob", "msg": "slot zero"})
-        clock.advance(1900)
-        status, marker = post_json(
-            live_server.url + f"/session/{started['session']}/lost",
-            params={"slot": "1"})
-        assert status == 200
-        assert marker["slot"] == 1
-
 
 class TestReportEndpoint:
     def test_empty_report(self, live_server):
@@ -334,17 +322,17 @@ class TestTypedParameters:
         ("/session/{sid}/screencast", {"url": 5}, "url"),
         ("/session/{sid}/review",
          {"reviewer": "alice", "score": 0.5, "comment": 7}, "comment"),
-        ("/session/{sid}/lost", {"slot": True}, "slot"),
         ("/shout", {"nick": "bob", "msg": "x", "client_created": 10**20},
          "client_created"),
         ("/message", {"nick": "bob", "msg": "push",
                       "batch": [{"message": "x", "client_created": 10**20}]},
          "client_created"),
         ("/session/{sid}/review", {"reviewer": "alice", "score": 10**400}, "score"),
+        ("/session/{sid}/review", {"reviewer": "alice", "score": True}, "score"),
     ], ids=["nick", "msg", "client_created-list", "client_created-float",
             "client_created-bool", "batch-item", "batch-message", "url", "comment",
-            "slot-bool", "client_created-past-9999", "batch-client_created-past-9999",
-            "score-too-large-for-float"])
+            "client_created-past-9999", "batch-client_created-past-9999",
+            "score-too-large-for-float", "score-bool"])
     def test_ill_typed_value_is_bad_request(self, live_server, caplog, path, body, name):
         _, started = post_json(live_server.url + "/message",
                                body={"nick": "bob", "msg": "start"})
@@ -404,7 +392,7 @@ def test_route_table_and_docs_agree():
 @pytest.mark.parametrize("method, path", [
     ("POST", "/nope"), ("GET", "/message"), ("POST", "/report"),
     ("GET", "/session/x/review"), ("POST", "/session/x/frob"),
-    ("POST", "/session/x/y/lost"),
+    ("POST", "/session/x/lost"), ("POST", "/session/x/y/lost"),
 ])
 def test_unrouted_method_or_path_is_404(live_server, method, path):
     send = http_get if method == "GET" else http_post

@@ -5,7 +5,6 @@ from aa.errors import (
     BeforeAnchor,
     EmptySession,
     NoEligibleValidator,
-    NotLost,
     ScoreOutOfRange,
     SelfReview,
 )
@@ -15,7 +14,7 @@ from aa.sessions import (
     assign_slot,
     assign_validator,
     conformance,
-    emit_lost_timeslot,
+    lost_markers,
     make_review,
 )
 from conftest import make_session, make_shout, on_grid_shouts
@@ -110,23 +109,23 @@ class TestConformance:
             assert report.ideal is False
 
 
-class TestLostTimeslot:
-    def test_emit_for_lost_slot(self):
+class TestLostMarkers:
+    def test_marker_sits_on_its_slot(self):
         shouts = [s for s in on_grid_shouts() if s.id != "s3"]
-        marker = emit_lost_timeslot(make_session(), shouts, 3)
+        [marker] = lost_markers(make_session(), shouts, (3,))
         assert marker.kind is MessageKind.LOST_TIMESLOT
         assert marker.created == 3 * 900  # 12:45 for a noon anchor
         assert marker.session_ref == "sess"
 
-    def test_ideal_session_has_nothing_to_emit(self):
-        with pytest.raises(NotLost):
-            emit_lost_timeslot(make_session(), on_grid_shouts(), 3)
+    def test_ideal_session_has_no_lost_slot_to_mark(self):
+        session, shouts = make_session(), on_grid_shouts()
+        assert lost_markers(session, shouts, conformance(session, shouts).lost_slots) == []
 
-    def test_reemission_rejected_as_duplicate(self):
+    def test_slot_already_marked_gets_no_second_marker(self):
         shouts = [s for s in on_grid_shouts() if s.id != "s3"]
-        marker = emit_lost_timeslot(make_session(), shouts, 3)
-        with pytest.raises(NotLost):
-            emit_lost_timeslot(make_session(), shouts + [marker], 3)
+        [marker] = lost_markers(make_session(), shouts, (3,))
+        again = lost_markers(make_session(), shouts + [marker], (3, 5))
+        assert [m.created for m in again] == [5 * 900]
 
 
 class TestValidator:
