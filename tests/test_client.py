@@ -432,6 +432,19 @@ class TestSessionLoop:
         assert err.count("\n") == 1
         assert_start_then_stop(server)
 
+    @pytest.mark.parametrize("stop", [
+        json_answer("500 Internal Server Error", {"error": "journal_failure"}),
+        b"not an answer",
+    ], ids=["stop-refused", "stop-unreadable"])
+    def test_a_refused_start_answer_is_raised_whatever_the_stop_answers(
+            self, tmp_path, canned, stop):
+        server = canned(json_answer("200 OK", {"result": "start", "session": "s1",
+                                               "event": "opened"}), stop)
+        with pytest.raises(TransportError, match="no usable 'slot'"):
+            session_loop(canned_config(tmp_path, server.url), slots=1,
+                         stdin=io.StringIO("a\n"), out=lambda *_: None)
+        assert_start_then_stop(server)
+
     def test_a_refused_start_answer_leaves_no_open_session(self, client_config,
                                                            live_server, monkeypatch):
         """A server from before the grid was in the start answer opens the

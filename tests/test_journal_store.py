@@ -641,6 +641,57 @@ class TestLostSlots:
                   if s.kind is MessageKind.LOST_TIMESLOT]
         assert marked == [0, 2, 3]
 
+    def test_stop_marks_each_silent_slot_on_its_grid(self, store, clock):
+        sid = store.receive_message("bob", "start")["session"]
+        start = store.state.sessions[sid].start
+        store.receive_shout("bob", "slot zero")
+        clock.advance(3 * 900 + 10)
+        result = store.receive_message("bob", "stop")
+        assert result["report"]["lost_slots"] == [1, 2, 3]
+        markers = [s for s in store.list_shouts() if s.kind is MessageKind.LOST_TIMESLOT]
+        assert [m.created for m in markers] == [start + k * 900 for k in (1, 2, 3)]
+        assert {m.session_ref for m in markers} == {sid}
+
+    def test_an_older_marker_replays_and_its_slot_is_not_marked_again(self, tmp_path,
+                                                                       clock):
+        path = str(tmp_path / "older.jsonl")
+        store = Store(path, clock=clock)
+        sid = store.receive_message("bob", "start")["session"]
+        store.receive_shout("bob", "slot zero")
+        clock.advance(2 * 900 + 10)
+        mark_lost(store, sid, 1, clock.now)
+        shouts, report = store.list_shouts(), store.report()
+        store.close()
+        store = Store(path, clock=clock)
+        try:
+            assert store.list_shouts() == shouts
+            assert store.report() == report
+            result = store.receive_message("bob", "stop")
+            assert result["report"]["lost_slots"] == [1, 2]
+            start = store.state.sessions[sid].start
+            marked = [(s.created - start) // 900 for s in store.list_shouts()
+                      if s.kind is MessageKind.LOST_TIMESLOT]
+            assert marked == [1, 2]
+        finally:
+            store.close()
+
+    def test_an_older_marker_on_a_slot_later_filled_rules_out_ideal(self, store, clock):
+        """A marker an older journal holds stays, though an on-time shout
+        later fills its slot: the session holds it and is not ideal."""
+        sid = store.receive_message("bob", "start")["session"]
+        start = store.state.sessions[sid].start
+        for k in range(8):
+            clock.now = start + k * 900 + 20
+            if k == 3:
+                mark_lost(store, sid, 3, clock.now - 10)
+            store.receive_shout("bob", f"slot {k}")
+        clock.now = start + 8 * 900 - 10
+        report = store.receive_message("bob", "stop")["report"]
+        assert report["lost_slots"] == []
+        assert report["ideal"] is False
+        assert [s.created - start for s in store.list_shouts()
+                if s.kind is MessageKind.LOST_TIMESLOT] == [3 * 900]
+
     @pytest.mark.parametrize("offset", [2000, -5000], ids=["later", "older"])
     def test_stop_grades_the_members_own_shout_under_a_reused_id(self, tmp_path, clock,
                                                                  offset):

@@ -283,6 +283,20 @@ class TestSessionEndpoints:
         assert status == 400
         assert result["error"] == "score_out_of_range"
 
+    def test_stop_marks_the_silent_slots(self, live_server, clock):
+        _, started = post_json(live_server.url + "/message",
+                               body={"nick": "bob", "msg": "start"})
+        _, shout = post_json(live_server.url + "/shout",
+                             params={"nick": "bob", "msg": "slot zero"})
+        clock.advance(2 * 900 + 10)
+        status, stopped = post_json(live_server.url + "/message",
+                                    body={"nick": "bob", "msg": "stop"})
+        assert status == 200
+        assert stopped["report"]["lost_slots"] == [1, 2]
+        entries = get_json(live_server.url + "/shouts", params={"format": "json"})
+        lost = [e["created"] for e in entries if e["kind"] == "lost_timeslot"]
+        assert lost == [iso8601(shout["created"] + k * 900) for k in (1, 2)]
+
 
 class TestReportEndpoint:
     def test_empty_report(self, live_server):

@@ -121,6 +121,13 @@ class TestLostMarkers:
         session, shouts = make_session(), on_grid_shouts()
         assert lost_markers(session, shouts, conformance(session, shouts).lost_slots) == []
 
+    def test_markers_follow_the_slots_on_the_session_grid(self):
+        session = make_session(start=100, slot=600)
+        markers = lost_markers(session, [], (0, 2, 5))
+        assert [m.created for m in markers] == [100, 100 + 2 * 600, 100 + 5 * 600]
+        assert {m.nick for m in markers} == {session.user}
+        assert len({m.id for m in markers}) == 3
+
     def test_slot_already_marked_gets_no_second_marker(self):
         shouts = [s for s in on_grid_shouts() if s.id != "s3"]
         [marker] = lost_markers(make_session(), shouts, (3,))
