@@ -172,17 +172,16 @@ def _field(answer: dict, key: str, types: tuple[type, ...] = (str,)):
 
 def api_shout(config: ClientConfig, message: str, *, source: str = "http",
               client_created: int | None = None) -> dict:
-    params = {"nick": config.nick, "msg": message, "source": source,
-              "client_created": client_created}
-    answer = _call_object(config, "POST", "/shout", params=params)
+    body = {"nick": config.nick, "msg": message, "source": source,
+            "client_created": client_created}
+    answer = _call_object(config, "POST", "/shout", body=body)
     _field(answer, "id")
     return answer
 
 
-def api_message(config: ClientConfig, msg: str, batch: list | None = None,
-                nick: str | None = None) -> dict:
-    body = {"nick": nick or config.nick, "msg": msg, "batch": batch}
-    return _call_object(config, "POST", "/message", body=body)
+def api_message(config: ClientConfig, msg: str) -> dict:
+    return _call_object(config, "POST", "/message",
+                        body={"nick": config.nick, "msg": msg})
 
 
 def api_report(config: ClientConfig, n: int = 20) -> dict:
@@ -286,12 +285,10 @@ def push(config: ClientConfig, out=print) -> int:
     sent = 0
     for i, record in enumerate(records):
         data = record["data"]
-        item = {"message": data["message"],
-                "client_created": data.get("client_created")}
         try:
             # records keep their own nick so bot spools stay attributed
-            api_message(config, "push", batch=[item],
-                        nick=data.get("nick") or config.nick)
+            api_shout(replace(config, nick=data.get("nick") or config.nick),
+                      data["message"], client_created=data.get("client_created"))
             sent += 1
         except (TransportError, RequestFailed) as exc:
             if not (isinstance(exc, RequestFailed) and exc.status == 400
@@ -331,13 +328,10 @@ def _read_line(stream, timeout: float) -> tuple[str, str | None]:
     except (OSError, AttributeError, ValueError):
         fd = None
     if fd is not None:
-        sel = selectors.DefaultSelector()
-        try:
+        with selectors.DefaultSelector() as sel:
             sel.register(fd, selectors.EVENT_READ)
             if not sel.select(timeout):
                 return "timeout", None
-        finally:
-            sel.close()
     line = stream.readline()
     if not line:
         return "eof", None

@@ -14,7 +14,7 @@ import logging
 import socket
 import ssl
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import client as http_client
 from .client import ClientConfig, TransportError
@@ -23,6 +23,7 @@ from .parsing import SHOUT_PREFIX
 
 log = logging.getLogger("aa.bot")
 
+RECONNECT_CAP = 60.0  # seconds: the longest wait between reconnects
 USAGE_REPLY = 'usage: ";aa <what you are working on>" logs a shout under your nick'
 
 INFO_LINES = (
@@ -44,7 +45,6 @@ class BotConfig:
     reply_private: bool = False
     spool: str = "aa-bot-spool.jsonl"
     reconnect_base: float = 1.0
-    reconnect_cap: float = 60.0
     max_reconnects: int | None = None
 
 
@@ -97,8 +97,7 @@ class Bot:
     # -- shout submission --------------------------------------------------
 
     def submit(self, nick: str, message: str) -> str:
-        send_as = ClientConfig(server=self.http.server, nick=nick,
-                               spool=self.http.spool, timeout=self.http.timeout)
+        send_as = replace(self.http, nick=nick)
         try:
             return http_client.api_shout(send_as, message, source="chat")["id"]
         except TransportError:
@@ -211,7 +210,7 @@ class Bot:
                 log.error("reconnect budget exhausted")
                 return 1
             time.sleep(self._backoff)
-            self._backoff = min(self._backoff * 2, self.config.reconnect_cap)
+            self._backoff = min(self._backoff * 2, RECONNECT_CAP)
         return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from time import gmtime, strftime
+from time import gmtime
 from typing import Iterable
 
 from .errors import EmptyNick
@@ -162,14 +162,9 @@ def check_timestamp(ts: int) -> int:
     return ts
 
 
-_YEAR_1000 = -30610224000  # 1000-01-01T00:00:00Z, the first year %Y gives four digits
-
-
 def iso8601(ts: int) -> str:
     """Render epoch seconds in UTC as the xsd:dateTime lexical form."""
-    if ts < _YEAR_1000:  # strftime's %Y does not pad the year to four digits
-        return "%04d-%02d-%02dT%02d:%02d:%02dZ" % gmtime(ts)[:6]
-    return strftime("%Y-%m-%dT%H:%M:%SZ", gmtime(ts))
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % gmtime(ts)[:6]
 
 
 def parse_iso8601(text: str) -> int:

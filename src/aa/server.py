@@ -39,7 +39,7 @@ from .store import Store
 
 log = logging.getLogger("aa.server")
 
-MAX_BODY = 1 << 20  # bytes; far above any real request, as aa push sends one item each
+MAX_BODY = 1 << 20  # bytes; far above any real request, as aa sends one shout each
 
 Timestamp = int  # epoch seconds in UTC years 1-9999: an int, a decimal string or ISO 8601
 

@@ -87,15 +87,27 @@ class Store:
 
     # -- ingest ----------------------------------------------------------
 
+    def _shout(self, nick: str, message: str, created: int, **fields) -> Shout:
+        """A sent message as a shout in its nick's open session, whatever its
+        first word: only ``receive_message`` acts on start, stop, push or a query."""
+        session_ref = self.state.open_sessions.get(normalize_nick(nick))
+        shout = parsing.build_shout(uuid.uuid4().hex, nick, message, created,
+                                    self.parser_config, session_ref=session_ref, **fields)
+        if shout.kind is not MessageKind.SHOUT:
+            parsed = replace(parsing.parse(shout.message, self.parser_config),
+                             kind=MessageKind.SHOUT, topic=None)
+            shout = parsing.build_shout(shout.id, nick, shout.message, created,
+                                        self.parser_config, session_ref=session_ref,
+                                        parsed=parsed, **fields)
+        return shout
+
     def receive_shout(self, nick: str, message: str, *,
                       source: Source = Source.HTTP,
                       client_created: int | None = None) -> Shout:
         """Stamp, parse, journal, and store one message as a shout record."""
         with self._lock:
-            session_ref = self.state.open_sessions.get(normalize_nick(nick))
-            shout = parsing.build_shout(
-                uuid.uuid4().hex, nick, message, self._arrival(), self.parser_config,
-                source=source, session_ref=session_ref, client_created=client_created)
+            shout = self._shout(nick, message, self._arrival(), source=source,
+                                client_created=client_created)
             self.journal.append_many([shout], self._now())
             return shout
 
@@ -161,10 +173,9 @@ class Store:
                 result = {"result": "stop", "session": session_ref,
                           "report": close.report, "validator": close.validator}
             elif kind is MessageKind.PUSH:
-                before = [parsing.build_shout(
-                    uuid.uuid4().hex, handle, item["message"], now, self.parser_config,
-                    session_ref=session_ref, client_created=item.get("client_created"))
-                    for item in batch or ()]
+                before = [self._shout(handle, item["message"], now,
+                                      client_created=item.get("client_created"))
+                          for item in batch or ()]
                 result = {"result": "push", "accepted": len(before),
                           "ids": [s.id for s in before]}
             control = parsing.build_shout(uuid.uuid4().hex, handle, message, now,

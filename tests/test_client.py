@@ -3,10 +3,12 @@ import json
 import os
 import socket
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from aa import journal as jn
 from aa.client import (
     EXIT_ERROR,
     EXIT_OK,
@@ -41,14 +43,14 @@ def offline_config(tmp_path):
 
 
 class FlakyHandler(BaseHTTPRequestHandler):
-    """Accepts a fixed number of requests, then answers 500."""
+    """Accepts a fixed number of requests as /shout does, then answers 500."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.requests.append(f"{self.command} {self.path}")
         if self.server.budget > 0:
             self.server.budget -= 1
-            body = json.dumps({"result": "push", "accepted": 1,
-                               "ids": ["x"]}).encode()
+            body = json.dumps({"id": "x", "created": 1, "kind": "shout"}).encode()
             self.send_response(200)
         else:
             body = b'{"error": "journal_failure"}'
@@ -65,6 +67,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
 def flaky_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), FlakyHandler)
     server.budget = 1
+    server.requests = []
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.05),
                               daemon=True)
     thread.start()
@@ -262,9 +265,7 @@ class TestPush:
         code = push(client_config, out=lambda *_: None)
         assert code == EXIT_OK
         assert spool_load(client_config) == []
-        messages = [s.message for s in live_server.store.list_shouts()]
-        # originals arrive in spool order, each alongside its push control record
-        assert [m for m in messages if m.startswith("spooled")] == \
+        assert [s.message for s in live_server.store.list_shouts()] == \
             ["spooled 0", "spooled 1", "spooled 2"]
         by_msg = {s.message: s for s in live_server.store.list_shouts()}
         assert by_msg["spooled 0"].client_created is not None
@@ -279,6 +280,44 @@ class TestPush:
         assert code == EXIT_SPOOLED
         left = [r["data"]["message"] for r in spool_load(config)]
         assert left == ["queued 1", "queued 2"]
+        assert flaky_server.requests == ["POST /shout", "POST /shout"]
+
+    def test_push_sends_each_record_as_a_post_shout(self, tmp_path, canned):
+        server = canned(json_answer("200 OK", {"id": "x1"}),
+                        json_answer("200 OK", {"id": "x2"}))
+        config = canned_config(tmp_path, server.url)
+        spool_append(replace(config, nick="alice"), "from the bot spool")
+        spool_append(config, "from the terminal")
+        created = [r["data"]["client_created"] for r in spool_load(config)]
+        assert push(config, out=lambda *_: None) == EXIT_OK
+        heads = [r.split(b"\r\n")[0] for r in server.requests]
+        assert heads == [b"POST /shout HTTP/1.1"] * 2
+        assert [json.loads(r.partition(b"\r\n\r\n")[2]) for r in server.requests] == [
+            {"nick": "alice", "msg": "from the bot spool", "source": "http",
+             "client_created": created[0]},
+            {"nick": "bob", "msg": "from the terminal", "source": "http",
+             "client_created": created[1]}]
+
+    def test_push_journals_one_shout_record_per_spooled_shout(self, client_config,
+                                                              live_server):
+        spool_append(client_config, "stop the flaky test first")
+        spool_append(replace(client_config, nick="alice"), "second note")
+        spooled = [r["data"] for r in spool_load(client_config)]
+        assert push(client_config, out=lambda *_: None) == EXIT_OK
+        records = list(jn.read_records(live_server.store.journal.path))
+        assert [(r.type, r.data["kind"], r.data["nick"], r.data["message"],
+                 r.data["client_created"]) for r in records] == \
+            [("shout", "shout", d["nick"], d["message"], d["client_created"])
+             for d in spooled]
+
+    def test_a_message_past_the_request_line_limit_gets_through(self, client_config,
+                                                                live_server):
+        long = "x" * 70_000
+        assert cmd_shout(client_config, long, out=lambda *_: None) == EXIT_OK
+        spool_append(client_config, "y" * 70_000)
+        assert push(client_config, out=lambda *_: None) == EXIT_OK
+        assert [s.message for s in live_server.store.list_shouts()] == \
+            [long, "y" * 70_000]
 
     def test_a_record_refused_for_its_content_is_dropped(self, client_config,
                                                          live_server):
@@ -304,6 +343,7 @@ class TestPush:
         refused = canned_config(tmp_path, server.url)
         assert push(refused, out=lambda *_: None) == EXIT_SPOOLED
         assert len(spool_load(refused)) == 2
+        assert server.requests[0].startswith(b"POST /shout HTTP/1.1\r\n")
 
 
 def tear_last_line(spool):
@@ -325,8 +365,7 @@ class TestTornSpool:
         lines = []
         assert push(client_config, out=lines.append) == EXIT_OK
         assert lines == ["dropped 1 unreadable spool line(s)", "pushed 1"]
-        assert [s.message for s in live_server.store.list_shouts()
-                if not s.message.startswith("push")] == ["whole"]
+        assert [s.message for s in live_server.store.list_shouts()] == ["whole"]
         assert spool_load(client_config) == []
 
     def test_next_shout_after_a_torn_line_is_kept(self, tmp_path):
@@ -351,8 +390,7 @@ class TestTornSpool:
         lines = []
         assert push(client_config, out=lines.append) == EXIT_OK
         assert lines == ["dropped 3 unreadable spool line(s)", "pushed 1"]
-        assert [s.message for s in live_server.store.list_shouts()
-                if not s.message.startswith("push")] == ["whole"]
+        assert [s.message for s in live_server.store.list_shouts()] == ["whole"]
         assert not os.path.exists(client_config.spool)
 
 
@@ -370,6 +408,17 @@ class TestSessionLoop:
         assert result.sent == 8
         assert result.report["lost_slots"] == []
         assert result.report["ideal"] is True
+
+    def test_answers_that_begin_with_a_control_word_are_graded(self, client_config,
+                                                               clock, live_server):
+        words = ("start", "stop", "push", "tickets")
+        result = run_on_clock(client_config, clock,
+                              [f"{words[k % 4]} step {k}" for k in range(8)])
+        assert result.sent == 8
+        assert result.report["lost_slots"] == []
+        assert result.report["ideal"] is True
+        members = live_server.store.state.members[result.session_id]
+        assert [s.kind for s in members] == [MessageKind.SHOUT] * 8
 
     def test_skipped_prompt_records_lost_slot(self, client_config, clock, live_server):
         result = run_on_clock(client_config, clock, ["a", "b", "c", "", "e", "f", "g", "h"])
@@ -392,7 +441,7 @@ class TestSessionLoop:
         result = session_loop(config, slots=3, stdin=io.StringIO("a\n\nc\n"),
                               out=lambda *_: None, sleep=lambda _: None)
         assert result.report["lost_slots"] == [1]
-        assert [r.split(b" ")[1].split(b"?")[0] for r in server.requests] == \
+        assert [r.split(b" ")[1] for r in server.requests] == \
             [b"/message", b"/shout", b"/shout", b"/message"]
 
     def test_immediate_stop_closes_empty_session(self, client_config):
@@ -479,7 +528,9 @@ class TestSessionLoop:
         assert not any(line.startswith("spooled") for line in lines)
         assert spool_load(config) == []
         assert [r.split(b" ")[1] for r in server.requests] == \
-            [b"/message", b"/shout?nick=bob&msg=refused&source=http", b"/message"]
+            [b"/message", b"/shout", b"/message"]
+        assert json.loads(server.requests[1].partition(b"\r\n\r\n")[2]) == \
+            {"nick": "bob", "msg": "refused", "source": "http", "client_created": None}
 
     def test_prompt_cadence_tracks_slot(self, tmp_path, canned):
         server = canned(start_answer(0.5, 0.2),

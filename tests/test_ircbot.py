@@ -338,3 +338,22 @@ def test_spooled_bot_shouts_push_with_original_nick(irc, live_server, tmp_path):
     shouts = [s for s in live_server.store.list_shouts()
               if s.message == "written while down"]
     assert [s.nick for s in shouts] == ["alice"]
+
+
+def test_submit_sends_with_the_bot_client_config_under_the_sender_nick(monkeypatch,
+                                                                       tmp_path):
+    from dataclasses import replace
+
+    from aa import client
+
+    bot = Bot(BotConfig(host="irc.example", spool=str(tmp_path / "bot-spool.jsonl")))
+    bot.http.timeout = 0.3
+    sent = []
+
+    def api_shout(config, message, source):
+        sent.append((config, message, source))
+        return {"id": "x1"}
+
+    monkeypatch.setattr(client, "api_shout", api_shout)
+    assert bot.submit("alice", "reading RFC 1459") == "x1"
+    assert sent == [(replace(bot.http, nick="alice"), "reading RFC 1459", "chat")]

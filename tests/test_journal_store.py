@@ -294,6 +294,35 @@ class TestIngest:
         assert [t.surface for t in shout.tags] == ["#coding"]
         assert store.list_shouts()[0].id == shout.id
 
+    @pytest.mark.parametrize("message", [
+        "start the parser", "STOP the flaky test first", "push", "tickets triage",
+        "milestones for the sprint"])
+    def test_a_shout_is_a_shout_whatever_its_first_word(self, store, message):
+        shout = store.receive_shout("bob", message)
+        pushed = store.receive_message("bob", "push", batch=[{"message": message}])
+        stored = {s.id: s for s in store.list_shouts()}
+        for shout_id in (shout.id, *pushed["ids"]):
+            assert (stored[shout_id].kind, stored[shout_id].topic) == (MessageKind.SHOUT, None)
+        # the push's own record keeps its kind
+        assert sorted(s.kind.value for s in stored.values()) == ["push", "shout", "shout"]
+
+    def test_a_shout_with_a_control_word_is_flagged_like_any_other(self, store):
+        shout = store.receive_shout("bob", "push https://example.net")
+        assert shout.deviation is DeviationKind.PRODUCT_EXHIBITIONISM
+
+    def test_shouts_that_begin_with_a_control_word_are_graded(self, store, clock):
+        session_id = store.receive_message("bob", "start")["session"]
+        store.receive_shout("bob", "reading the slot grid")
+        for text in ("stop the flaky test first", "push the branch",
+                     "start on the docs", "tickets triage"):
+            clock.advance(900)
+            store.receive_shout("bob", text)
+        report = store.receive_message("bob", "stop")["report"]
+        assert len(report["per_shout"]) == 5
+        assert report["lost_slots"] == []
+        assert [s.message.split()[0] for s in store.state.members[session_id]] == \
+            ["reading", "stop", "push", "start", "tickets"]
+
     def test_empty_nick_rejected(self, store):
         with pytest.raises(EmptyNick):
             store.receive_shout("", "x")
