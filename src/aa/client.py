@@ -7,6 +7,7 @@ JSON-lines shape as the server journal) and pushed later in order.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import json
 import os
@@ -15,12 +16,14 @@ import selectors
 import socket
 import ssl
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 
 from .config import load_settings
+from .journal import sync_directory
 from .sessions import SlotGrid
 
 EXIT_OK = 0
@@ -71,87 +74,175 @@ def load_client_config(path: str | None = None,
 
 
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
-_STATUS_LINE = re.compile(rb"HTTP/[0-9]\.[0-9] ([0-9]{3})[ \r\n]")
+_STATUS_LINE = re.compile(rb"HTTP/([0-9]\.[0-9]) ([0-9]{3})[ \r\n]")
+
+# A kept connection is reused only while it has been idle for less than half
+# of aa-server's ShoutServer.IDLE_TIMEOUT (10 s), so that the server does not
+# close it while a request is on its way.
+KEEP_IDLE_S = 5.0
+
+
+class _Pool:
+    """Idle connections kept for reuse (RFC 9112 §9.3), by (scheme, host,
+    port): ``take`` hands one to a single caller, and ``keep`` takes it back
+    after a clean answer. A caller closes a connection it does not keep."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[tuple[socket.socket, float]]] = {}  # oldest first
+
+    def take(self, key: tuple, timeout: float) -> socket.socket | None:
+        """The newest idle connection to ``key`` that is still fit for a
+        request, set to ``timeout``; the unfit ones met on the way are closed."""
+        while True:
+            with self._lock:
+                if not (idle := self._idle.get(key)):
+                    return None
+                sock, since = idle.pop()
+            if time.monotonic() - since < KEEP_IDLE_S and _quiet(sock):
+                sock.settimeout(timeout)
+                return sock
+            sock.close()
+
+    def keep(self, key: tuple, sock: socket.socket) -> None:
+        """Keep ``sock`` idle for reuse, and close every idle connection past
+        ``KEEP_IDLE_S``."""
+        now, stale = time.monotonic(), []
+        with self._lock:
+            for other in list(self._idle):
+                idle = self._idle[other]
+                while idle and now - idle[0][1] >= KEEP_IDLE_S:
+                    stale.append(idle.pop(0)[0])
+                if not idle:
+                    del self._idle[other]
+            self._idle.setdefault(key, []).append((sock, now))
+        for old in stale:
+            old.close()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for entries in idle.values():
+            for sock, _ in entries:
+                sock.close()
+
+
+_POOL = _Pool()
+atexit.register(_POOL.close)
+
+
+def _quiet(sock: socket.socket) -> bool:
+    """Whether an idle connection has nothing to read: neither the server's
+    EOF nor stray bytes, which would be taken for the next answer."""
+    if isinstance(sock, ssl.SSLSocket) and sock.pending():
+        return False
+    with selectors.DefaultSelector() as sel:
+        sel.register(sock, selectors.EVENT_READ)
+        return not sel.select(0)
 
 
 def _call(config: ClientConfig, method: str, path: str,
           params: dict | None = None, body: dict | None = None) -> dict | list:
-    """One request to ``config.server`` on a connection of its own, and its
-    JSON answer. A 4xx raises RequestFailed; anything else that is not a 2xx
-    with a JSON body (no answer, a cut or unreadable one, a 3xx, a 5xx)
-    raises TransportError."""
+    """One request to ``config.server`` and its JSON answer. A 4xx raises
+    RequestFailed; anything else that is not a 2xx with a JSON body (no
+    answer, a cut or unreadable one, a 3xx, a 5xx) raises TransportError.
+
+    The request goes on an idle connection to the server kept from an
+    earlier call, else on a new one. The connection is kept again only
+    after a clean 2xx JSON or 4xx answer. A failure on a kept connection is
+    not retried, as the server may have acted on the request (RFC 9112
+    §9.3.1)."""
     url = urlsplit(config.server)
     target = url.path.rstrip("/") + path
     if params:
         target += "?" + urlencode({k: v for k, v in params.items() if v is not None})
     data = b"" if body is None else json.dumps(body).encode()
     head = (f"{method} {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
-            f"Connection: close\r\nContent-Length: {len(data)}\r\n")
+            f"Content-Length: {len(data)}\r\n")
     if body is not None:
         head += "Content-Type: application/json\r\n"
     try:
-        status, payload = _exchange(url, (head + "\r\n").encode() + data,
-                                    config.timeout)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http or https URL: {url.geturl()!r}")
+        key = (url.scheme, url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        sock = _POOL.take(key, config.timeout) or _connect(key, config.timeout)
+        try:
+            status, payload, clean = _exchange(sock, (head + "\r\n").encode() + data)
+            try:
+                parsed = json.loads(payload)
+            except ValueError:
+                parsed = None
+            answered = 200 <= status < 300 and parsed is not None or 400 <= status < 500
+            if clean and answered:
+                _POOL.keep(key, sock)
+                sock = None
+        finally:
+            if sock is not None:
+                sock.close()
     except (OSError, ValueError) as exc:  # ssl errors are OSErrors
         raise TransportError(str(exc)) from exc
-    try:
-        parsed = json.loads(payload)
-    except ValueError:
-        parsed = None
-    if 200 <= status < 300 and parsed is not None:
-        return parsed
-    if not 400 <= status < 500:
+    if not answered:
         raise TransportError(f"server answered {status}"
                              + (" without JSON" if status < 300 else ""))
+    if status < 300:
+        return parsed
     if isinstance(parsed, dict):
         raise RequestFailed(status, parsed.get("error", "error"), parsed.get("detail", ""))
     raise RequestFailed(status, "error", payload.decode(errors="replace"))
 
 
-def _exchange(url, request: bytes, timeout: float) -> tuple[int, bytes]:
-    """Send ``request`` to the server at ``url`` and read its answer: the
-    status, and the body up to its Content-Length, or to EOF without one."""
-    if url.scheme not in ("http", "https") or not url.hostname:
-        raise ValueError(f"not an http or https URL: {url.geturl()!r}")
-    tls = url.scheme == "https"
-    sock = socket.create_connection((url.hostname, url.port or (443 if tls else 80)),
-                                    timeout)
-    try:
-        if tls:
-            sock = ssl.create_default_context().wrap_socket(
-                sock, server_hostname=url.hostname)
-        sock.sendall(request)
-        answer = bytearray()
-        while not (end := _HEAD_END.search(answer)):
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ValueError("answer head cut short")
-            answer += chunk
-        status = _STATUS_LINE.match(answer)
-        if not status:
-            raise ValueError(f"bad status line {bytes(answer[:40])!r}")
-        length = None
-        for line in answer[:end.start()].split(b"\n")[1:]:
-            name, _, value = line.partition(b":")
-            name = name.strip().lower()
-            if name == b"content-length":
-                length = int(value)
-                if length < 0:
-                    raise ValueError(f"Content-Length {length}")
-            elif name == b"transfer-encoding":
-                raise ValueError("a Transfer-Encoding answer is not read")
-        body = answer[end.end():]
-        while length is None or len(body) < length:
-            chunk = sock.recv(65536)
-            if not chunk:
-                if length is None:
-                    break
-                raise ValueError(f"answer body of {len(body)} bytes, "
-                                 f"Content-Length {length}")
-            body += chunk
-    finally:
-        sock.close()
-    return int(status[1]), bytes(body[:length])
+def _connect(key: tuple, timeout: float) -> socket.socket:
+    """A new connection to the server at ``key``, (scheme, host, port)."""
+    scheme, host, port = key
+    sock = socket.create_connection((host, port), timeout)
+    if scheme == "https":
+        try:
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+    return sock
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, bytes, bool]:
+    """Send ``request`` on ``sock`` and read its answer: the status, the body
+    up to its Content-Length (or to EOF without one), and whether the answer
+    leaves the connection clean for another request: HTTP/1.1 without
+    ``Connection: close``, and a body of exactly its Content-Length."""
+    sock.sendall(request)
+    answer = bytearray()
+    while not (end := _HEAD_END.search(answer)):
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ValueError("answer head cut short")
+        answer += chunk
+    status = _STATUS_LINE.match(answer)
+    if not status:
+        raise ValueError(f"bad status line {bytes(answer[:40])!r}")
+    length, close = None, False
+    for line in answer[:end.start()].split(b"\n")[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            length = int(value)
+            if length < 0:
+                raise ValueError(f"Content-Length {length}")
+        elif name == b"connection":
+            close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+        elif name == b"transfer-encoding":
+            raise ValueError("a Transfer-Encoding answer is not read")
+    body = answer[end.end():]
+    while length is None or len(body) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            if length is None:
+                break
+            raise ValueError(f"answer body of {len(body)} bytes, "
+                             f"Content-Length {length}")
+        body += chunk
+    clean = status[1] == b"1.1" and not close and len(body) == length
+    return int(status[2]), bytes(body[:length]), clean
 
 
 def _call_object(config: ClientConfig, method: str, path: str, **kwargs) -> dict:
@@ -191,18 +282,25 @@ def api_report(config: ClientConfig, n: int = 20) -> dict:
 # -- spool -------------------------------------------------------------------
 
 
-def spool_append(config: ClientConfig, message: str) -> None:
+def spool_append(config: ClientConfig, message: str, source: str = "http") -> None:
+    """Append a shout to the spool and fsync it, and the spool's directory
+    when the spool was new or empty, so that the shout outlives a crash."""
     path = Path(config.spool)
     path.parent.mkdir(parents=True, exist_ok=True)
     record = {"type": "shout", "data": {"nick": config.nick, "message": message,
+                                        "source": source,
                                         "client_created": int(time.time())}}
     line = json.dumps(record, sort_keys=True) + "\n"
     with open(path, "a+b") as fh:
-        if fh.seek(0, os.SEEK_END):
+        if size := fh.seek(0, os.SEEK_END):
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 line = "\n" + line  # end a last line cut off mid-append
         fh.write(line.encode())
+        fh.flush()
+        os.fsync(fh.fileno())
+    if not size:
+        sync_directory(path)
 
 
 def spool_read(config: ClientConfig) -> tuple[list[dict], int]:
@@ -236,13 +334,17 @@ def spool_write(config: ClientConfig, records: list[dict]) -> None:
     if not records:
         if path.exists():
             path.unlink()
+            sync_directory(path)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
+    sync_directory(path)
 
 
 # -- commands ------------------------------------------------------------------
@@ -288,7 +390,8 @@ def push(config: ClientConfig, out=print) -> int:
         try:
             # records keep their own nick so bot spools stay attributed
             api_shout(replace(config, nick=data.get("nick") or config.nick),
-                      data["message"], client_created=data.get("client_created"))
+                      data["message"], source=data.get("source") or "http",
+                      client_created=data.get("client_created"))
             sent += 1
         except (TransportError, RequestFailed) as exc:
             if not (isinstance(exc, RequestFailed) and exc.status == 400

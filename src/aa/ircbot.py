@@ -102,7 +102,7 @@ class Bot:
             return http_client.api_shout(send_as, message, source="chat")["id"]
         except TransportError:
             # keep the shout for a later push, then report the failure
-            http_client.spool_append(send_as, message)
+            http_client.spool_append(send_as, message, source="chat")
             raise
 
     # -- wire --------------------------------------------------------------

@@ -208,6 +208,7 @@ class Journal:
     def __init__(self, path: str):
         self.path = path
         self._refusal = ""
+        created = not os.path.exists(path)
         try:
             fh = open(path, "a+b", buffering=0)  # one os.write per append
         except OSError as exc:
@@ -215,6 +216,8 @@ class Journal:
         try:
             try:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if created:  # a new file's name is durable once its directory is
+                    sync_directory(path)
                 _end_last_line(fh.fileno(), path)
                 self.state = replay(path)
             except BlockingIOError as exc:
@@ -274,6 +277,16 @@ class Journal:
 
     def close(self) -> None:
         self._fh.close()
+
+
+def sync_directory(path) -> None:
+    """fsync the directory holding ``path``, which makes a file created,
+    renamed or removed there durable."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _end_last_line(fd: int, path: str) -> None:

@@ -10,6 +10,7 @@ from urllib.parse import urlencode
 
 import pytest
 
+from aa import client
 from aa.model import MessageKind, Session, SessionOrigin, Shout
 from aa.server import ShoutServer
 from aa.store import Store
@@ -57,6 +58,13 @@ def store(tmp_path, clock):
     s = Store(str(tmp_path / "journal.jsonl"), clock=clock)
     yield s
     s.close()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_connections():
+    """Each test starts with no idle client connection kept by an earlier one."""
+    yield
+    client._POOL.close()
 
 
 @pytest.fixture

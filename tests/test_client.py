@@ -1,13 +1,19 @@
+import contextlib
 import io
 import json
 import os
 import socket
+import stat
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from aa import client
 from aa import journal as jn
 from aa.client import (
     EXIT_ERROR,
@@ -26,8 +32,10 @@ from aa.client import (
     session_loop,
     spool_append,
     spool_load,
+    spool_write,
 )
 from aa.model import MessageKind
+from aa.server import ShoutServer
 
 
 @pytest.fixture
@@ -77,35 +85,70 @@ def flaky_server():
 
 
 class CannedServer:
-    """Answers each of its connections with the next of ``answers`` as raw
-    bytes, after reading the request, then closes it."""
+    """Answers requests with ``answers`` in turn, as raw bytes, on connections
+    kept the way an HTTP/1.1 server keeps them: after an answer it reads the
+    next request on the same connection, unless the answer ends it (see
+    ``ends_connection``). When the client closes a kept connection, the next
+    request is read from a new one. ``connections`` counts those accepted."""
 
     def __init__(self, answers: list[bytes]):
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
         self.requests: list[bytes] = []
+        self.connections = 0
         self.thread = threading.Thread(target=self._serve, args=(answers,), daemon=True)
         self.thread.start()
 
     def _serve(self, answers: list[bytes]) -> None:
-        for answer in answers:
-            conn, _ = self.sock.accept()
-            with conn:
-                conn.settimeout(5)
-                request = b""
-                while b"\r\n\r\n" not in request:
-                    request += conn.recv(65536)
-                head = request.split(b"\r\n\r\n")[0].lower()
-                length = int(head.partition(b"content-length:")[2].split(b"\r\n")[0] or 0)
-                while len(request) < len(head) + 4 + length:
-                    request += conn.recv(65536)
+        conn = None
+        try:
+            for answer in answers:
+                request = conn and self._read(conn)
+                if not request:  # no connection kept, or the client closed it
+                    if conn:
+                        conn.close()
+                    conn, _ = self.sock.accept()
+                    conn.settimeout(5)
+                    self.connections += 1
+                    request = self._read(conn)
                 self.requests.append(request)
                 conn.sendall(answer)
+                if ends_connection(answer):
+                    conn.close()
+                    conn = None
+        finally:
+            if conn:
+                conn.close()
+
+    @staticmethod
+    def _read(conn: socket.socket) -> bytes:
+        """One whole request, or b"" if the client closes the connection first."""
+        request = b""
+        while b"\r\n\r\n" not in request:
+            if not (chunk := conn.recv(65536)):
+                return b""
+            request += chunk
+        head = request.split(b"\r\n\r\n")[0].lower()
+        length = int(head.partition(b"content-length:")[2].split(b"\r\n")[0] or 0)
+        while len(request) < len(head) + 4 + length:
+            request += conn.recv(65536)
+        return request
 
     def close(self) -> None:
         self.thread.join(timeout=5)
         assert not self.thread.is_alive()
         self.sock.close()
+
+
+def ends_connection(answer: bytes) -> bool:
+    """Whether a server closes its connection after sending ``answer``: an
+    HTTP/1.0 or ``Connection: close`` answer says so, and an answer cut short
+    (its head unended, or less body than its Content-Length) is cut by the close."""
+    head, ended, body = answer.partition(b"\r\n\r\n")
+    fields = head.lower().split(b"\r\n")
+    length = [int(f.partition(b":")[2]) for f in fields if f.startswith(b"content-length:")]
+    return (not ended or head.startswith(b"HTTP/1.0") or b"connection: close" in fields
+            or bool(length) and len(body) < length[0])
 
 
 @pytest.fixture
@@ -155,7 +198,7 @@ class TestTransport:
             {"latest": []}
         assert server.requests == [b"GET /aa/report?n=1 HTTP/1.1\r\n"
                                    + f"Host: {server.url[7:]}\r\n".encode()
-                                   + b"Connection: close\r\nContent-Length: 0\r\n\r\n"]
+                                   + b"Content-Length: 0\r\n\r\n"]
 
     def test_a_json_body_is_sent_with_its_type_and_length(self, tmp_path, canned):
         server = canned(b'HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}')
@@ -224,6 +267,154 @@ class TestTransport:
         assert cmd_shout(config, "over tls", out=lambda *_: None) == EXIT_SPOOLED
 
 
+class TestConnectionPool:
+    def test_calls_to_a_live_server_share_one_connection(self, client_config,
+                                                         live_server, monkeypatch):
+        accepted = []
+        accept = live_server._accept
+        monkeypatch.setattr(live_server, "_accept",
+                            lambda: (accepted.append(1), accept()))
+        for i in range(4):
+            api_shout(client_config, f"step {i}")
+        api_report(client_config)
+        assert _call(client_config, "GET", "/shouts", params={"format": "json"})
+        assert len(accepted) == 1
+        assert len(live_server.store.list_shouts()) == 4
+
+    def test_a_connection_the_server_closed_is_replaced_without_spooling(
+            self, client_config, live_server, monkeypatch):
+        monkeypatch.setattr(live_server, "IDLE_TIMEOUT", 0.2)
+        assert cmd_shout(client_config, "before", out=lambda *_: None) == EXIT_OK
+        [[(kept, _)]] = client._POOL._idle.values()
+        deadline = time.monotonic() + 5
+        while client._quiet(kept) and time.monotonic() < deadline:
+            time.sleep(0.02)  # until the server's close reaches the client
+        assert not client._quiet(kept)
+        assert cmd_shout(client_config, "after", out=lambda *_: None) == EXIT_OK
+        assert kept.fileno() == -1
+        assert not os.path.exists(client_config.spool)
+        assert [s.message for s in live_server.store.list_shouts()] == ["before", "after"]
+
+    @pytest.mark.parametrize("answer", [
+        json_answer("200 OK", {"n": 1}),
+        json_answer("404 Not Found", {"error": "not_found", "detail": "no route"}),
+        b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\n{}",
+    ], ids=["200", "404", "keep-alive"])
+    def test_a_clean_answer_keeps_its_connection(self, tmp_path, canned, answer):
+        server = canned(answer, json_answer("200 OK", {"n": 2}))
+        config = canned_config(tmp_path, server.url)
+        with contextlib.suppress(RequestFailed):
+            _call(config, "GET", "/report")
+        assert _call(config, "GET", "/report") == {"n": 2}
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("answer", [
+        b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nConnection: Keep-Alive, Close\r\nContent-Length: 2\r\n"
+        b"\r\n{}",
+        b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"id": "x',
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n<>",
+        b"SMTP ready\r\n\r\n",
+        b'HTTP/1.1 503 Service Unavailable\r\nContent-Length: 17\r\n\r\n{"error": "busy"}',
+    ], ids=["http-1.0", "connection-close", "close-among-tokens", "cut", "over-long",
+            "not-json", "bad-status-line", "503"])
+    def test_an_answer_that_is_not_clean_closes_its_connection(self, tmp_path, canned,
+                                                                 answer):
+        server = canned(answer, json_answer("200 OK", {"n": 2}))
+        config = canned_config(tmp_path, server.url)
+        with contextlib.suppress(TransportError):
+            _call(config, "GET", "/report")
+        assert client._POOL._idle == {}
+        assert _call(config, "GET", "/report") == {"n": 2}
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("stray", [b"HTTP/1.1 200 OK\r\n", b""], ids=["bytes", "eof"])
+    def test_an_idle_connection_with_something_to_read_is_not_reused(self, stray):
+        mine, theirs = socket.socketpair()
+        with mine, theirs:
+            assert client._quiet(mine)
+            if stray:
+                theirs.sendall(stray)
+            else:
+                theirs.shutdown(socket.SHUT_WR)
+            assert not client._quiet(mine)
+
+    def test_a_connection_idle_past_the_limit_is_closed_not_reused(self, tmp_path,
+                                                                   canned, monkeypatch):
+        assert client.KEEP_IDLE_S <= ShoutServer.IDLE_TIMEOUT / 2
+        server = canned(json_answer("200 OK", {"n": 1}), json_answer("200 OK", {"n": 2}))
+        config = canned_config(tmp_path, server.url)
+        assert _call(config, "GET", "/report") == {"n": 1}
+        [[(kept, _)]] = client._POOL._idle.values()
+        real = time.monotonic
+        monkeypatch.setattr(time, "monotonic", lambda: real() + client.KEEP_IDLE_S)
+        assert _call(config, "GET", "/report") == {"n": 2}
+        assert kept.fileno() == -1
+        assert server.connections == 2
+
+    def test_a_failure_on_a_kept_connection_is_not_retried(self, tmp_path, canned):
+        # the server takes the second request and closes without an answer
+        server = canned(json_answer("200 OK", {"id": "x1"}), b"")
+        config = canned_config(tmp_path, server.url)
+        assert cmd_shout(config, "first", out=lambda *_: None) == EXIT_OK
+        assert cmd_shout(config, "second", out=lambda *_: None) == EXIT_SPOOLED
+        assert [r["data"]["message"] for r in spool_load(config)] == ["second"]
+        assert (len(server.requests), server.connections) == (2, 1)
+
+    def test_two_threads_never_share_a_connection(self, client_config, live_server,
+                                                  monkeypatch):
+        in_use, shared, lock = set(), [], threading.Lock()
+        exchange = client._exchange
+
+        def exclusive(sock, request):
+            with lock:
+                shared.extend([sock] if sock in in_use else [])
+                in_use.add(sock)
+            try:
+                return exchange(sock, request)
+            finally:
+                with lock:
+                    in_use.discard(sock)
+
+        monkeypatch.setattr(client, "_exchange", exclusive)
+        errors = []
+
+        def shout(n: int) -> None:
+            try:
+                for i in range(10):
+                    api_report(client_config, n=1)
+                    api_shout(replace(client_config, nick=f"t{n}"), f"step {i}")
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shout, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and shared == []
+        assert len(live_server.store.list_shouts()) == 60
+        assert 1 <= sum(map(len, client._POOL._idle.values())) <= 6
+
+    def test_kept_connections_are_closed_at_exit(self, live_server):
+        script = ("from aa.client import ClientConfig, api_report\n"
+                  f"config = ClientConfig(server={live_server.url!r}, timeout=5)\n"
+                  "api_report(config)\napi_report(config)\n")
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestShoutCommand:
     def test_shout_prints_id(self, client_config):
         lines = []
@@ -281,6 +472,19 @@ class TestPush:
         left = [r["data"]["message"] for r in spool_load(config)]
         assert left == ["queued 1", "queued 2"]
         assert flaky_server.requests == ["POST /shout", "POST /shout"]
+
+    def test_a_record_is_pushed_with_its_source_or_as_http_without_one(self, tmp_path,
+                                                                        canned):
+        server = canned(json_answer("200 OK", {"id": "x1"}),
+                        json_answer("200 OK", {"id": "x2"}))
+        config = canned_config(tmp_path, server.url)
+        spool_append(config, "from the chat", source="chat")
+        with open(config.spool, "a", encoding="utf-8") as fh:  # spooled before sources
+            fh.write('{"type": "shout", "data": {"nick": "bob", "message": "older"}}\n')
+        assert push(config, out=lambda *_: None) == EXIT_OK
+        bodies = [json.loads(r.partition(b"\r\n\r\n")[2]) for r in server.requests]
+        assert [(b["msg"], b["source"]) for b in bodies] == [("from the chat", "chat"),
+                                                           ("older", "http")]
 
     def test_push_sends_each_record_as_a_post_shout(self, tmp_path, canned):
         server = canned(json_answer("200 OK", {"id": "x1"}),
@@ -350,6 +554,41 @@ def tear_last_line(spool):
     """Cut the spool inside its last record, as a crash mid-append would."""
     with open(spool, "rb+") as fh:
         fh.truncate(fh.seek(0, 2) - 10)
+
+
+@pytest.fixture
+def synced(monkeypatch):
+    """Each fsync, as "file" or "dir", and each os.replace, in order."""
+    events, fsync, replace_file = [], os.fsync, os.replace
+
+    def counting_fsync(fd):
+        events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        fsync(fd)
+
+    def counting_replace(*args):
+        events.append("replace")
+        replace_file(*args)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return events
+
+
+class TestSpoolDurability:
+    def test_a_spooled_shout_is_fsynced_before_it_is_reported(self, tmp_path, synced):
+        config = offline_config(tmp_path)
+        cmd_shout(config, "first", out=synced.append)
+        assert synced == ["file", "dir", f"server unreachable; spooled to {config.spool}"]
+        synced.clear()
+        cmd_shout(config, "second", out=synced.append)
+        assert synced == ["file", f"server unreachable; spooled to {config.spool}"]
+
+    def test_a_rewritten_spool_is_fsynced_before_and_after_its_rename(
+            self, tmp_path, synced):
+        config = offline_config(tmp_path)
+        spool_write(config, [{"type": "shout", "data": {"message": "kept"}}])
+        assert synced == ["file", "replace", "dir"]
+        assert [r["data"]["message"] for r in spool_load(config)] == ["kept"]
 
 
 class TestTornSpool:

@@ -340,6 +340,22 @@ def test_spooled_bot_shouts_push_with_original_nick(irc, live_server, tmp_path):
     assert [s.nick for s in shouts] == ["alice"]
 
 
+def test_a_bot_shout_spooled_while_down_is_pushed_as_chat(live_server, tmp_path):
+    from aa.client import ClientConfig, TransportError, push
+
+    spool = str(tmp_path / "bot-spool.jsonl")
+    bot = Bot(BotConfig(host="irc.example", server_url="http://127.0.0.1:1",
+                        spool=spool))
+    bot.http.timeout = 0.3
+    with pytest.raises(TransportError):
+        bot.submit("alice", "written while down")
+    pusher = ClientConfig(server=live_server.url, nick="lalenia", spool=spool, timeout=5)
+    assert push(pusher, out=lambda *_: None) == 0
+    assert [(s.nick, s.message, s.source.value)
+            for s in live_server.store.list_shouts()] == [
+        ("alice", "written while down", "chat")]
+
+
 def test_submit_sends_with_the_bot_client_config_under_the_sender_nick(monkeypatch,
                                                                        tmp_path):
     from dataclasses import replace

@@ -3,6 +3,7 @@ import fcntl
 import json
 import logging
 import os
+import stat
 import sys
 import tempfile
 import threading
@@ -58,6 +59,22 @@ class TestJournal:
         journal.close()
         seqs = [r.seq for r in jn.read_records(path)]
         assert seqs == [1, 2, 3]
+
+    def test_a_new_journal_fsyncs_its_directory_once(self, tmp_path, monkeypatch):
+        synced, fsync = [], os.fsync
+
+        def counting_fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        path = str(tmp_path / "j.jsonl")
+        jn.Journal(path).close()
+        assert synced == ["dir"]
+        with jn.Journal(path) as journal:  # reopening adds no fsync
+            assert synced == ["dir"]
+            journal.append_many([shout_item("a")], written=1)
+        assert synced == ["dir", "file"]
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
