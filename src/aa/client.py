@@ -1,7 +1,8 @@
 """Terminal client: one-call shouting, timed sessions, spool, and push.
 
-Shouts that cannot reach the server are appended to a local spool (same
-JSON-lines shape as the server journal) and pushed later in order.
+Shouts that cannot reach the server are appended to a local JSON-lines
+spool; a push sends them later in order, marks each with an appended line,
+and removes the spool once no unsent record is left.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import fcntl
 import json
 import os
 import re
@@ -282,6 +284,34 @@ def api_report(config: ClientConfig, n: int = 20) -> dict:
 # -- spool -------------------------------------------------------------------
 
 
+SENT = {"type": "sent"}  # the marker of the oldest record not yet sent or refused
+
+
+@contextlib.contextmanager
+def _locked(path: Path):
+    """The spool at ``path``, open for appending under an exclusive flock;
+    opened again when a push removed the file while this waited for it."""
+    while True:
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            if os.fstat(fh.fileno()).st_nlink:
+                yield fh
+                return
+
+
+def _append(fh, record: dict) -> int:
+    """Append ``record`` to the locked spool ``fh`` and fsync it; the size before."""
+    line = json.dumps(record, sort_keys=True).encode() + b"\n"
+    if size := fh.seek(0, os.SEEK_END):
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            line = b"\n" + line  # end a last line cut off mid-append
+    fh.write(line)
+    fh.flush()
+    os.fsync(fh.fileno())
+    return size
+
+
 def spool_append(config: ClientConfig, message: str, source: str = "http") -> None:
     """Append a shout to the spool and fsync it, and the spool's directory
     when the spool was new or empty, so that the shout outlives a crash."""
@@ -290,61 +320,40 @@ def spool_append(config: ClientConfig, message: str, source: str = "http") -> No
     record = {"type": "shout", "data": {"nick": config.nick, "message": message,
                                         "source": source,
                                         "client_created": int(time.time())}}
-    line = json.dumps(record, sort_keys=True) + "\n"
-    with open(path, "a+b") as fh:
-        if size := fh.seek(0, os.SEEK_END):
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                line = "\n" + line  # end a last line cut off mid-append
-        fh.write(line.encode())
-        fh.flush()
-        os.fsync(fh.fileno())
-    if not size:
-        sync_directory(path)
+    with _locked(path) as fh:
+        if not _append(fh, record):
+            sync_directory(path)
 
 
-def spool_read(config: ClientConfig) -> tuple[list[dict], int]:
-    """The spool's records, and the number of lines skipped because they are
-    not a JSON object with a text ``data.message`` (such as a line cut off
-    mid-append)."""
-    records, skipped = [], 0
-    if not os.path.exists(config.spool):
-        return records, skipped
-    with open(config.spool, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                    message = record["data"]["message"]
-                except (ValueError, LookupError, TypeError):
-                    message = None
-                if isinstance(message, str):
-                    records.append(record)
-                else:
-                    skipped += 1
-    return records, skipped
+def spool_read(lines) -> tuple[list[dict], int]:
+    """The records among spool ``lines`` that no marker stands for, in
+    order, and the number of lines skipped because they are neither a
+    marker nor a JSON object with a text ``data.message`` (such as a line
+    cut off mid-append)."""
+    records, sent, skipped = [], 0, 0
+    for line in lines:
+        if line.strip():
+            try:
+                record = json.loads(line)
+                if record == SENT:
+                    sent += 1
+                    continue
+                message = record["data"]["message"]
+            except (ValueError, LookupError, TypeError):
+                message = None
+            if isinstance(message, str):
+                records.append(record)
+            else:
+                skipped += 1
+    return records[sent:], skipped
 
 
 def spool_load(config: ClientConfig) -> list[dict]:
-    return spool_read(config)[0]
-
-
-def spool_write(config: ClientConfig, records: list[dict]) -> None:
-    path = Path(config.spool)
-    if not records:
-        if path.exists():
-            path.unlink()
-            sync_directory(path)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-    sync_directory(path)
+    try:
+        with open(config.spool, "rb") as fh:
+            return spool_read(fh)[0]
+    except FileNotFoundError:
+        return []
 
 
 # -- commands ------------------------------------------------------------------
@@ -372,35 +381,41 @@ REFUSED_RECORD = ("empty_message", "empty_nick", "bad_request")
 
 
 def push(config: ClientConfig, out=print) -> int:
-    """Send spooled shouts in order; the spool keeps any unsent suffix.
-
-    Lines that are not a record are dropped from the spool first; a record
-    refused for its own content (``REFUSED_RECORD``) is dropped once refused.
-    """
-    records, skipped = spool_read(config)
-    if skipped:
-        spool_write(config, records)
-        out(f"dropped {skipped} unreadable spool line(s)")
+    """Send the spool's unsent records in order, append a marker after each,
+    and remove the spool once none is left. The spool stays locked meanwhile,
+    so a shout spooled during a push waits and is kept, and pushes take turns.
+    Unreadable lines go with the spool; a record refused for its own content
+    (``REFUSED_RECORD``) is marked as if sent."""
+    path = Path(config.spool)
+    if not path.exists():
+        out("spool empty")
+        return EXIT_OK
+    with _locked(path) as fh:
+        fh.seek(0)
+        records, skipped = spool_read(fh)
+        if skipped:
+            out(f"dropped {skipped} unreadable spool line(s)")
+        sent = 0
+        for i, record in enumerate(records):
+            data = record["data"]
+            try:
+                # records keep their own nick so bot spools stay attributed
+                api_shout(replace(config, nick=data.get("nick") or config.nick),
+                          data["message"], source=data.get("source") or "http",
+                          client_created=data.get("client_created"))
+                sent += 1
+            except (TransportError, RequestFailed) as exc:
+                if not (isinstance(exc, RequestFailed) and exc.status == 400
+                        and exc.code in REFUSED_RECORD):
+                    out(f"pushed {sent}, {len(records) - i} left spooled ({exc})")
+                    return EXIT_SPOOLED
+                out(f"rejected: {exc}")
+            _append(fh, SENT)
+        path.unlink()
+        sync_directory(path)
     if not records:
         out("spool empty")
         return EXIT_OK
-    sent = 0
-    for i, record in enumerate(records):
-        data = record["data"]
-        try:
-            # records keep their own nick so bot spools stay attributed
-            api_shout(replace(config, nick=data.get("nick") or config.nick),
-                      data["message"], source=data.get("source") or "http",
-                      client_created=data.get("client_created"))
-            sent += 1
-        except (TransportError, RequestFailed) as exc:
-            if not (isinstance(exc, RequestFailed) and exc.status == 400
-                    and exc.code in REFUSED_RECORD):
-                spool_write(config, records[i:])
-                out(f"pushed {sent}, {len(records) - i} left spooled ({exc})")
-                return EXIT_SPOOLED
-            out(f"rejected: {exc}")
-        spool_write(config, records[i + 1:])
     out(f"pushed {sent}")
     return EXIT_OK if sent == len(records) else EXIT_ERROR
 

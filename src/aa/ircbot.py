@@ -99,6 +99,10 @@ class Bot:
     def submit(self, nick: str, message: str) -> str:
         send_as = replace(self.http, nick=nick)
         try:
+            # shouts spooled earlier go first, so that order is kept
+            while http_client.spool_load(self.http):
+                if http_client.push(self.http, out=log.info) == http_client.EXIT_SPOOLED:
+                    raise TransportError("earlier shouts are still spooled")
             return http_client.api_shout(send_as, message, source="chat")["id"]
         except TransportError:
             # keep the shout for a later push, then report the failure

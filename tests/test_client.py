@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import errno
 import io
 import json
 import os
@@ -32,7 +34,6 @@ from aa.client import (
     session_loop,
     spool_append,
     spool_load,
-    spool_write,
 )
 from aa.model import MessageKind
 from aa.server import ShoutServer
@@ -558,20 +559,62 @@ def tear_last_line(spool):
 
 @pytest.fixture
 def synced(monkeypatch):
-    """Each fsync, as "file" or "dir", and each os.replace, in order."""
-    events, fsync, replace_file = [], os.fsync, os.replace
+    """Each fsync, as "file" or "dir", and each os.unlink, in order."""
+    events, fsync, unlink = [], os.fsync, os.unlink
 
     def counting_fsync(fd):
         events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
         fsync(fd)
 
-    def counting_replace(*args):
-        events.append("replace")
-        replace_file(*args)
+    def counting_unlink(*args):
+        events.append("unlink")
+        unlink(*args)
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
-    monkeypatch.setattr(os, "replace", counting_replace)
+    monkeypatch.setattr(os, "unlink", counting_unlink)
     return events
+
+
+class KeptWrites:
+    """A file that aa.client opened, whose writes are kept in ``writes``;
+    the write numbered ``cut_at`` (from 1) writes half its bytes and fails,
+    as a full disk or a crash would leave it."""
+
+    def __init__(self, fh, writes: list[bytes], cut_at: int | None = None):
+        self._fh, self._writes, self._cut_at = fh, writes, cut_at
+
+    def write(self, data):
+        self._writes.append(data)
+        if len(self._writes) == self._cut_at:
+            self._fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "injected")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __iter__(self):
+        return iter(self._fh)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def keep_writes(monkeypatch, cut_at: int | None = None) -> list[bytes]:
+    """Every write to a file that aa.client opens from now on, in order."""
+    writes, real_open = [], open
+    monkeypatch.setattr(client, "open", lambda *args, **kwargs: KeptWrites(
+        real_open(*args, **kwargs), writes, cut_at), raising=False)
+    return writes
+
+
+def stub_sends(monkeypatch, sends: list) -> None:
+    """Answer each api_shout at once and keep its message in ``sends``."""
+    monkeypatch.setattr(client, "api_shout",
+                        lambda config, message, **_: sends.append(message) or {"id": "x"})
 
 
 class TestSpoolDurability:
@@ -583,12 +626,105 @@ class TestSpoolDurability:
         cmd_shout(config, "second", out=synced.append)
         assert synced == ["file", f"server unreachable; spooled to {config.spool}"]
 
-    def test_a_rewritten_spool_is_fsynced_before_and_after_its_rename(
-            self, tmp_path, synced):
+    def test_each_marker_is_fsynced_before_the_next_send(self, tmp_path, synced,
+                                                         monkeypatch):
         config = offline_config(tmp_path)
-        spool_write(config, [{"type": "shout", "data": {"message": "kept"}}])
-        assert synced == ["file", "replace", "dir"]
-        assert [r["data"]["message"] for r in spool_load(config)] == ["kept"]
+        spool_append(config, "first")
+        spool_append(config, "second")
+        synced.clear()
+        stub_sends(monkeypatch, synced)
+        assert push(config, out=lambda *_: None) == EXIT_OK
+        # the spool is removed, and that made durable, once both are marked
+        assert synced == ["first", "file", "second", "file", "unlink", "dir"]
+        assert not os.path.exists(config.spool)
+
+
+class TestAppendOnlySpool:
+    def test_a_push_writes_a_short_marker_per_record(self, tmp_path, monkeypatch,
+                                                     synced):
+        config = offline_config(tmp_path)
+        n = 2000
+        with open(config.spool, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                fh.write(json.dumps({"type": "shout", "data": {
+                    "nick": "bob", "message": f"queued {i}", "source": "http",
+                    "client_created": 1}}) + "\n")
+        writes, sends = keep_writes(monkeypatch), []
+        stub_sends(monkeypatch, sends)
+        synced.clear()
+        assert push(config, out=lambda *_: None) == EXIT_OK
+        assert sends == [f"queued {i}" for i in range(n)]
+        assert set(writes) == {b'{"type": "sent"}\n'}
+        assert sum(map(len, writes)) <= 64 * n
+        assert synced.count("file") + synced.count("dir") <= n + 1
+        assert not os.path.exists(config.spool)
+
+    @pytest.mark.parametrize("cut", ["write", "fsync"])
+    def test_a_failed_marker_resends_at_most_its_own_record(self, tmp_path,
+                                                            monkeypatch, cut):
+        config = offline_config(tmp_path)
+        for i in range(5):
+            spool_append(config, f"queued {i}")
+        sends = []
+        stub_sends(monkeypatch, sends)
+        with monkeypatch.context() as failing:
+            # the marker after the third send fails: cut off mid-write, or
+            # written but refused by fsync
+            if cut == "write":
+                keep_writes(failing, cut_at=3)
+            else:
+                calls, fsync = [], os.fsync
+
+                def failing_fsync(fd):
+                    calls.append(fd)
+                    if len(calls) == 3:
+                        raise OSError(errno.EIO, "injected")
+                    fsync(fd)
+
+                failing.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="injected"):
+                push(config, out=lambda *_: None)
+        assert sends == ["queued 0", "queued 1", "queued 2"]
+        assert push(config, out=lambda *_: None) == EXIT_OK
+        counts = collections.Counter(sends)
+        assert list(counts) == [f"queued {i}" for i in range(5)]
+        assert counts["queued 2"] <= 2
+        assert all(counts[f"queued {i}"] == 1 for i in (0, 1, 3, 4))
+        assert not os.path.exists(config.spool)
+
+    def test_a_shout_spooled_by_another_process_during_a_push_is_kept(
+            self, tmp_path, monkeypatch):
+        config = offline_config(tmp_path)
+        spool_append(config, "first")
+        spool_append(config, "second")
+        script = ("from aa.client import ClientConfig, spool_append\n"
+                  f"config = ClientConfig(nick='alice', spool={config.spool!r})\n"
+                  "print('ready', flush=True)\n"
+                  "spool_append(config, 'spooled meanwhile')\n")
+        children, sends = [], []
+
+        def api_shout(config, message, **_):
+            sends.append(message)
+            if not children:
+                children.append(subprocess.Popen(
+                    [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}))
+                assert children[0].stdout.readline() == "ready\n"
+                # time for the child to spool, if nothing makes it wait
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    children[0].wait(timeout=0.5)
+            return {"id": "x"}
+
+        monkeypatch.setattr(client, "api_shout", api_shout)
+        try:
+            assert push(config, out=lambda *_: None) == EXIT_OK
+        finally:
+            for child in children:
+                assert child.wait(timeout=30) == 0
+                child.stdout.close()
+        assert sends == ["first", "second"]
+        assert [(r["data"]["nick"], r["data"]["message"]) for r in spool_load(config)] \
+            == [("alice", "spooled meanwhile")]
 
 
 class TestTornSpool:

@@ -1,4 +1,5 @@
 import itertools
+import os
 import socket
 import threading
 import time
@@ -354,6 +355,28 @@ def test_a_bot_shout_spooled_while_down_is_pushed_as_chat(live_server, tmp_path)
     assert [(s.nick, s.message, s.source.value)
             for s in live_server.store.list_shouts()] == [
         ("alice", "written while down", "chat")]
+
+
+def test_the_bot_pushes_its_own_spool_before_the_next_shout(live_server, tmp_path):
+    from aa.client import TransportError, spool_load
+
+    spool = str(tmp_path / "bot-spool.jsonl")
+    bot = Bot(BotConfig(host="irc.example", server_url="http://127.0.0.1:1",
+                        spool=spool))
+    bot.http.timeout = 0.3
+    for message in ("written while down", "still down"):
+        with pytest.raises(TransportError):
+            bot.submit("alice", message)
+    # a push that leaves records spooled keeps the new shout behind them
+    assert [r["data"]["message"] for r in spool_load(bot.http)] == [
+        "written while down", "still down"]
+    bot.http.server = live_server.url
+    bot.submit("bob", "back up")
+    assert [(s.nick, s.message, s.source.value)
+            for s in live_server.store.list_shouts()] == [
+        ("alice", "written while down", "chat"), ("alice", "still down", "chat"),
+        ("bob", "back up", "chat")]
+    assert not os.path.exists(spool)
 
 
 def test_submit_sends_with_the_bot_client_config_under_the_sender_nick(monkeypatch,
