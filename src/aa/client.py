@@ -583,6 +583,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"server unreachable: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:  # the spool: a full disk, an unwritable path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_USAGE
 
 

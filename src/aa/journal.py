@@ -2,15 +2,25 @@
 
 Records are never mutated in place; corrections append superseding records.
 Sequence numbers strictly increase with no gaps within one file.
+
+Beside a journal, ``<journal>.ckpt`` may hold a checkpoint: the state its
+first records make, which replay loads instead of replaying them. It is a
+cache that may always be deleted; the journal stays the only source of truth.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import hashlib
+import io
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+import pickle
+import stat
+import sys
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, NamedTuple
@@ -34,6 +44,12 @@ from .model import (
 EVENT_OPEN = "open"
 EVENT_CLOSE = "close"
 EVENT_SCREENCAST = "screencast"
+
+CHECKPOINT_SUFFIX = ".ckpt"
+CHECKPOINT_FORMAT = 1
+# a close writes a checkpoint once this many records follow the one its
+# journal was loaded from; fewer replay in well under a millisecond
+CHECKPOINT_AFTER = 4
 
 log = logging.getLogger(__name__)
 
@@ -202,7 +218,8 @@ class Journal:
     Opening a journal takes an exclusive advisory lock on the file, held
     until ``close``; a second writer is refused with JournalError. Under the
     lock it repairs a torn final line and replays the file into ``state``,
-    so no other writer can append in between.
+    so no other writer can append in between. Being the one writer, it is
+    also the one writer of the journal's checkpoint (see ``close``).
     """
 
     def __init__(self, path: str):
@@ -276,7 +293,24 @@ class Journal:
         return records
 
     def close(self) -> None:
-        self._fh.close()
+        """Release the file and its lock, first writing a checkpoint of
+        ``state`` if at least CHECKPOINT_AFTER records follow the checkpoint
+        it was loaded from and no append was refused. A checkpoint that
+        cannot be written is logged and left out."""
+        if self._fh.closed:
+            return
+        try:
+            state = self.state
+            if (not self._refusal
+                    and state.last_seq >= state.checkpoint_seq + CHECKPOINT_AFTER):
+                try:
+                    write_checkpoint(self.path, self._fh.fileno(), state)
+                except OSError as exc:
+                    log.warning("%s: checkpoint not written: %s", self.path, exc)
+                except Exception:  # a cache: a state that will not pickle fails no close
+                    log.warning("%s: checkpoint not written", self.path, exc_info=True)
+        finally:
+            self._fh.close()
 
 
 def sync_directory(path) -> None:
@@ -311,19 +345,23 @@ def _end_last_line(fd: int, path: str) -> None:
         os.write(fd, b"\n")
 
 
-def read_records(path: str) -> Iterator[JournalRecord]:
-    """Yield journal records in order; a torn final line is tolerated.
+def read_records(path: str, offset: int = 0, seq: int = 1,
+                 lineno: int = 1) -> Iterator[JournalRecord]:
+    """Yield journal records in order from byte ``offset``, the start of
+    line ``lineno``, where seq ``seq`` is due; a torn final line is tolerated.
 
     Raises JournalError if the file cannot be opened, if a whole line is not
-    UTF-8, or unless the seqs run 1, 2, 3, ... without a gap.
+    UTF-8, or unless the seqs run ``seq``, ``seq + 1``, ... without a gap.
+    Errors name the file's own line numbers.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise JournalError(f"{path}: {exc.strerror}") from exc
-    expected = 1
+    expected = seq
     with fh:
-        for lineno, line in enumerate(fh, 1):
+        fh.seek(offset)
+        for lineno, line in enumerate(fh, lineno):
             if not line.strip():
                 continue
             try:
@@ -388,6 +426,9 @@ class ReplayState:
     same shouts in created order, all of them and per nick; being derived
     from ``shouts``, they take no part in comparing two states. ``members``
     holds each session's shouts and lost-slot markers, in arrival order.
+    ``checkpoint_seq`` is the ``last_seq`` of the checkpoint the state was
+    loaded from, 0 if none; it says how the state was built, not what it
+    holds, so it takes no part in comparing either.
     """
 
     shouts: list[Shout] = field(default_factory=list)
@@ -403,6 +444,7 @@ class ReplayState:
     members: dict[str, list[Shout]] = field(default_factory=dict)
     last_seq: int = 0
     last_created: int = 0
+    checkpoint_seq: int = field(default=0, compare=False)
 
     def apply(self, record: JournalRecord) -> None:
         """Decode a record and install it; a decode that raises changes nothing."""
@@ -442,13 +484,16 @@ class ReplayState:
 
 
 def replay(path: str) -> ReplayState:
-    """Rebuild state by applying every record of a journal in order.
+    """Rebuild state by applying every record of a journal in order, or by
+    loading its checkpoint and applying the records after it.
 
     A record whose data cannot be decoded (a missing key, an unknown enum
     value, a field of the wrong shape) raises JournalError naming its seq.
+    A checkpoint never raises and never changes the result: one that does
+    not match the journal is logged at INFO and replay starts from seq 1.
     """
-    state = ReplayState()
-    for record in read_records(path):
+    state, offset, lines = load_checkpoint(path)
+    for record in read_records(path, offset, state.last_seq + 1, lines + 1):
         try:
             state.apply(record)
         except KeyError as exc:
@@ -458,3 +503,146 @@ def replay(path: str) -> ReplayState:
             raise JournalError(f"{path}: seq {record.seq}: bad {record.type} "
                                f"record: {exc}") from exc
     return state
+
+
+# -- checkpoints ---------------------------------------------------------------
+#
+# A checkpoint is the sha256 of the rest of the file on one line, a JSON
+# header on the next, and then the pickled ReplayState. The header names the
+# format, the Python version and the model's field names it was written
+# with, and the journal prefix it covers: its length in bytes and in lines,
+# the last seq in it and its sha256.
+# Loading a pickle can run code, so only a file of this user's that no one
+# else may write is loaded, and only the state's own classes are allowed in.
+
+_MODEL_CLASSES = (Shout, Tag, Session, ValidationReview)
+_LOADABLE = {(cls.__module__, cls.__qualname__) for cls in (
+    *_MODEL_CLASSES, ReplayState, CreatedIndex, Source, MessageKind, TagForm,
+    TagScope, SessionOrigin, DeviationKind)}
+# what a checkpoint must have been written with to be loaded
+_VERSION = {
+    "format": CHECKPOINT_FORMAT,
+    "python": list(sys.version_info[:2]),
+    "fingerprint": hashlib.sha256(json.dumps(
+        [[cls.__qualname__, [f.name for f in fields(cls)]]
+         for cls in (*_MODEL_CLASSES, ReplayState)]
+        + [["CreatedIndex", list(CreatedIndex.__slots__)]]).encode()).hexdigest(),
+}
+
+
+def _through_constructor(cls):
+    values = attrgetter(*(f.name for f in fields(cls)))
+    return lambda obj: (cls, values(obj))
+
+
+class _Pickler(pickle.Pickler):
+    # a model object loads through its constructor, as replay builds it;
+    # pickle's default of restoring ``__dict__`` makes attribute reads slower
+    dispatch_table = {cls: _through_constructor(cls) for cls in _MODEL_CLASSES}
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        """Only the classes of a ReplayState: a checkpoint holds nothing else."""
+        if (module, name) not in _LOADABLE:
+            raise pickle.UnpicklingError(f"{module}.{name} is not part of a state")
+        return super().find_class(module, name)
+
+
+def _prefix(fd: int, size: int) -> tuple[str, int]:
+    """The sha256 and the line count of the first ``size`` bytes of the
+    journal open at ``fd``; ValueError if it holds fewer."""
+    if os.fstat(fd).st_size < size:
+        raise ValueError(f"it covers {size} bytes, more than the journal holds")
+    digest, lines, done = hashlib.sha256(), 0, 0
+    while done < size:
+        chunk = os.pread(fd, min(1 << 20, size - done), done)
+        if not chunk:  # cut meanwhile
+            raise ValueError(f"the journal ends before byte {size}")
+        digest.update(chunk)
+        lines += chunk.count(b"\n")
+        done += len(chunk)
+    return digest.hexdigest(), lines
+
+
+def write_checkpoint(path: str, fd: int, state: ReplayState) -> None:
+    """Write ``state``, the replay of the whole journal ``path`` open at
+    ``fd``, as that journal's checkpoint.
+
+    The file is written with mode 0600 and fsynced under a temporary name,
+    then renamed into place and its directory fsynced: a crash leaves the
+    old checkpoint or the new one. Only the journal's writer calls this.
+    """
+    offset = os.fstat(fd).st_size
+    journal_sha256, lines = _prefix(fd, offset)
+    header = {**_VERSION, "offset": offset, "lines": lines, "last_seq": state.last_seq,
+              "journal_sha256": journal_sha256}
+    buffer = io.BytesIO()
+    buffer.write(json.dumps(header).encode() + b"\n")
+    _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    body = buffer.getbuffer()
+    target = path + CHECKPOINT_SUFFIX
+    temp = target + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(temp)  # left by a crash; O_EXCL below makes a fresh 0600 file
+    out = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(out, "wb") as fh:
+            fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    sync_directory(target)
+
+
+def load_checkpoint(path: str) -> tuple[ReplayState, int, int]:
+    """The state in the checkpoint of the journal ``path``, with the byte
+    offset and the line count of the journal prefix it covers.
+
+    Without a checkpoint, or with one that is not trusted or does not match
+    the journal, this is an empty state at offset 0 and line 0; a refused
+    checkpoint is logged at INFO with its reason.
+    """
+    target = path + CHECKPOINT_SUFFIX
+    try:
+        with open(target, "rb") as fh:
+            return _checked(path, fh)
+    except FileNotFoundError:
+        pass  # no checkpoint; or no journal, which read_records reports
+    except Exception as exc:  # a cache: whatever is wrong, the journal is replayed
+        log.info("%s: checkpoint not used: %s: %s", target, type(exc).__name__, exc)
+    return ReplayState(), 0, 0
+
+
+def _checked(path: str, fh) -> tuple[ReplayState, int, int]:
+    info = os.fstat(fh.fileno())
+    if info.st_uid != os.getuid():
+        raise ValueError(f"owned by uid {info.st_uid}, not {os.getuid()}")
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise ValueError(f"mode {stat.S_IMODE(info.st_mode):o} lets others write it")
+    # the header is checked against the journal before its digest, so a
+    # checkpoint of another journal is refused without reading its state
+    digest, head = fh.readline().rstrip(b"\n"), fh.readline()
+    header = json.loads(head)
+    if {key: header.get(key) for key in _VERSION} != _VERSION:
+        raise ValueError("written by another version of the format, Python or model")
+    offset, lines = header["offset"], header["lines"]
+    with open(path, "rb") as journal:
+        if _prefix(journal.fileno(), offset) != (header["journal_sha256"], lines):
+            raise ValueError(f"the journal's first {offset} bytes are not the ones "
+                             f"it was written from")
+    payload = fh.read()
+    content = hashlib.sha256(head)
+    content.update(payload)
+    if content.hexdigest().encode() != digest:
+        raise ValueError("its content does not match its sha256")
+    state = _Unpickler(io.BytesIO(payload)).load()
+    if type(state) is not ReplayState or state.last_seq != header["last_seq"]:
+        raise ValueError("its state is not the one its header names")
+    state.checkpoint_seq = state.last_seq
+    return state, offset, lines

@@ -28,7 +28,7 @@ from dataclasses import replace
 from email.utils import formatdate
 from http import HTTPStatus
 from inspect import Parameter, signature
-from time import monotonic
+from time import monotonic, perf_counter
 from typing import Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -505,12 +505,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
+    started = perf_counter()
     try:
         store = Store(config.journal, slot=config.slot, tolerance=config.tolerance,
                       parser_config=config)
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    state = store.state
+    log.info("opened journal %s in %.0f ms: %d records from its checkpoint, "
+             "%d replayed", config.journal, (perf_counter() - started) * 1000,
+             state.checkpoint_seq, state.last_seq - state.checkpoint_seq)
     server = ShoutServer(store, config.host, config.port)
     host, port = server.server_address[:2]
     log.info("serving on http://%s:%s journal=%s", host, port, config.journal)

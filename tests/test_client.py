@@ -1003,6 +1003,29 @@ class TestMainRouting:
                      "--spool", str(tmp_path / "s.jsonl"), "report"])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["shout", "push"])
+    def test_a_spool_error_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                             command):
+        from aa.client import EXIT_ERROR, main
+        config = offline_config(tmp_path)
+        spool = config.spool
+        if command == "shout":  # the spool's directory cannot be made
+            (tmp_path / "file").write_text("")
+            spool = str(tmp_path / "file" / "s.jsonl")
+        else:  # the marker after the first send is refused by fsync
+            spool_append(config, "queued")
+            stub_sends(monkeypatch, [])
+
+            def failing_fsync(fd):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+        code = main(["--server", config.server, "--spool", spool,
+                     command, *(["offline"] if command == "shout" else [])])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("flag", ["--slot", "--tolerance"])
     def test_a_grid_flag_is_a_usage_error(self, tmp_path, flag):
         from aa.client import main
