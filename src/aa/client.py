@@ -173,7 +173,7 @@ def _call(config: ClientConfig, method: str, path: str,
             status, payload, clean = _exchange(sock, (head + "\r\n").encode() + data)
             try:
                 parsed = json.loads(payload)
-            except ValueError:
+            except (ValueError, RecursionError):  # not JSON, or nested too deep
                 parsed = None
             answered = 200 <= status < 300 and parsed is not None or 400 <= status < 500
             if clean and answered:
@@ -339,7 +339,7 @@ def spool_read(lines) -> tuple[list[dict], int]:
                     sent += 1
                     continue
                 message = record["data"]["message"]
-            except (ValueError, LookupError, TypeError):
+            except (ValueError, RecursionError, LookupError, TypeError):
                 message = None
             if isinstance(message, str):
                 records.append(record)

@@ -46,7 +46,7 @@ EVENT_CLOSE = "close"
 EVENT_SCREENCAST = "screencast"
 
 CHECKPOINT_SUFFIX = ".ckpt"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 # a close writes a checkpoint once this many records follow the one its
 # journal was loaded from; fewer replay in well under a millisecond
 CHECKPOINT_AFTER = 4
@@ -262,6 +262,8 @@ class Journal:
         not retried, as the kernel may have dropped the pages it could not
         write: after one, or after a failed cut, every append is refused until
         the journal is reopened, which replays what the file really holds.
+        Any other exception, such as an interrupt, that escapes once the write
+        has begun refuses every later append the same way.
         """
         if self._refusal:
             raise JournalError(self._refusal)
@@ -272,6 +274,10 @@ class Journal:
                           for r in records).encode()
         fd = self._fh.fileno()
         size = os.fstat(fd).st_size
+        # refused until installed: an interrupt from here on may leave records
+        # in the file that ``state`` lacks, and a checkpoint would hide them
+        self._refusal = (f"journal {self.path} refuses writes after an interrupted "
+                         f"append; reopen it")
         step = "write"
         try:
             if os.write(fd, payload) != len(payload):
@@ -284,12 +290,12 @@ class Journal:
                 os.ftruncate(fd, size)
             except OSError:
                 refuse = True
-            if refuse:
-                self._refusal = (f"journal {self.path} refuses writes after a failed "
-                                 f"{step} ({exc}); reopen it")
+            self._refusal = (f"journal {self.path} refuses writes after a failed "
+                             f"{step} ({exc}); reopen it") if refuse else ""
             raise JournalError(f"journal {step} failed: {exc}") from exc
         for record, item in zip(records, items):
             self.state.install(record.seq, item)
+        self._refusal = ""
         return records
 
     def close(self) -> None:
@@ -338,7 +344,7 @@ def _end_last_line(fd: int, path: str) -> None:
     line = data[data.rfind(b"\n") + 1:]
     try:
         json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         os.ftruncate(fd, size - len(line))
         log.warning("%s: cut a torn final line of %d bytes", path, len(line))
     else:
@@ -368,8 +374,9 @@ def read_records(path: str, offset: int = 0, seq: int = 1,
                 raw = json.loads(line.decode())
                 record = JournalRecord(raw["seq"], raw["written"], raw["type"],
                                        raw["data"])
-            except ValueError as exc:  # not UTF-8, or not JSON
-                # only the last line can lack its newline: a torn tail
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON,
+                # or nested too deep to decode; only the last line can lack
+                # its newline: a torn tail
                 if not line.endswith(b"\n"):
                     return
                 if isinstance(exc, UnicodeDecodeError):
@@ -524,21 +531,10 @@ _VERSION = {
     "format": CHECKPOINT_FORMAT,
     "python": list(sys.version_info[:2]),
     "fingerprint": hashlib.sha256(json.dumps(
-        [[cls.__qualname__, [f.name for f in fields(cls)]]
-         for cls in (*_MODEL_CLASSES, ReplayState)]
-        + [["CreatedIndex", list(CreatedIndex.__slots__)]]).encode()).hexdigest(),
+        [[cls.__qualname__, list(cls._fields)] for cls in _MODEL_CLASSES]
+        + [["ReplayState", [f.name for f in fields(ReplayState)]],
+           ["CreatedIndex", list(CreatedIndex.__slots__)]]).encode()).hexdigest(),
 }
-
-
-def _through_constructor(cls):
-    values = attrgetter(*(f.name for f in fields(cls)))
-    return lambda obj: (cls, values(obj))
-
-
-class _Pickler(pickle.Pickler):
-    # a model object loads through its constructor, as replay builds it;
-    # pickle's default of restoring ``__dict__`` makes attribute reads slower
-    dispatch_table = {cls: _through_constructor(cls) for cls in _MODEL_CLASSES}
 
 
 class _Unpickler(pickle.Unpickler):
@@ -549,9 +545,9 @@ class _Unpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _prefix(fd: int, size: int) -> tuple[str, int]:
-    """The sha256 and the line count of the first ``size`` bytes of the
-    journal open at ``fd``; ValueError if it holds fewer."""
+def _prefix(fd: int, size: int, count_lines: bool = True) -> tuple[str, int]:
+    """The sha256 and, if ``count_lines``, the line count of the first
+    ``size`` bytes of the journal open at ``fd``; ValueError if it holds fewer."""
     if os.fstat(fd).st_size < size:
         raise ValueError(f"it covers {size} bytes, more than the journal holds")
     digest, lines, done = hashlib.sha256(), 0, 0
@@ -560,7 +556,8 @@ def _prefix(fd: int, size: int) -> tuple[str, int]:
         if not chunk:  # cut meanwhile
             raise ValueError(f"the journal ends before byte {size}")
         digest.update(chunk)
-        lines += chunk.count(b"\n")
+        if count_lines:
+            lines += chunk.count(b"\n")
         done += len(chunk)
     return digest.hexdigest(), lines
 
@@ -579,7 +576,7 @@ def write_checkpoint(path: str, fd: int, state: ReplayState) -> None:
               "journal_sha256": journal_sha256}
     buffer = io.BytesIO()
     buffer.write(json.dumps(header).encode() + b"\n")
-    _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    pickle.dump(state, buffer, protocol=pickle.HIGHEST_PROTOCOL)
     body = buffer.getbuffer()
     target = path + CHECKPOINT_SUFFIX
     temp = target + ".tmp"
@@ -632,8 +629,8 @@ def _checked(path: str, fh) -> tuple[ReplayState, int, int]:
     if {key: header.get(key) for key in _VERSION} != _VERSION:
         raise ValueError("written by another version of the format, Python or model")
     offset, lines = header["offset"], header["lines"]
-    with open(path, "rb") as journal:
-        if _prefix(journal.fileno(), offset) != (header["journal_sha256"], lines):
+    with open(path, "rb") as journal:  # equal bytes hold equal lines
+        if _prefix(journal.fileno(), offset, False)[0] != header["journal_sha256"]:
             raise ValueError(f"the journal's first {offset} bytes are not the ones "
                              f"it was written from")
     payload = fh.read()

@@ -214,7 +214,7 @@ def _json_rows(path: str) -> Iterator:
         if head == "[":
             try:
                 rows = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise UnreadableSource(f"{path} is not a JSON array: {exc}") from exc
             yield from rows
         else:
@@ -222,7 +222,7 @@ def _json_rows(path: str) -> Iterator:
                 if line.strip():
                     try:
                         row = json.loads(line)
-                    except ValueError:
+                    except (ValueError, RecursionError):
                         row = None
                     yield row
 

@@ -1,16 +1,16 @@
 """Core domain types shared by every other module.
 
-All types are immutable values (frozen dataclasses) and do no I/O.
+The record types are immutable NamedTuples that do no I/O: hashable, equal
+by fields, and changed only through ``_replace``, which returns a new value.
 Timestamps are UTC seconds since the epoch, second precision.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import gmtime
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyNick
 
@@ -61,8 +61,7 @@ class DeviationKind(str, enum.Enum):
     INTRO_TEST = "intro_test"
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(NamedTuple):
     """One classification marker attached to a message.
 
     ``name`` is lowercase and free of leading marker characters.
@@ -79,8 +78,7 @@ class Tag:
         return marker + self.name
 
 
-@dataclass(frozen=True)
-class Shout:
+class Shout(NamedTuple):
     """One timestamped message from a user; the atomic record."""
 
     id: str
@@ -96,8 +94,7 @@ class Shout:
     topic: str | None = None
 
 
-@dataclass(frozen=True)
-class User:
+class User(NamedTuple):
     """A participant, identified by one or more nicks."""
 
     id: str
@@ -109,8 +106,7 @@ def users_from_nicks(nicks: Iterable[str]) -> dict[str, User]:
     return {nick: User(id=nick, nicks=frozenset({nick})) for nick in nicks}
 
 
-@dataclass(frozen=True)
-class ValidationReview:
+class ValidationReview(NamedTuple):
     """Peer review of a session; score lives in the unit interval."""
 
     session: str
@@ -120,8 +116,7 @@ class ValidationReview:
     created: int
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """A time-contiguous group of shouts from one user.
 
     ``shouts`` holds member shout ids in arrival order, with the lost-slot

@@ -21,6 +21,7 @@ import json
 import logging
 import re
 import selectors
+import signal
 import socket
 import sys
 import threading
@@ -110,7 +111,10 @@ class ShoutHandler:
         params = {k: v[0] for k, v in parse_qs(query).items()}
         if self.body:
             if "json" in self.head.headers.get("content-type", ""):
-                payload = json.loads(self.body)
+                try:
+                    payload = json.loads(self.body)
+                except RecursionError:
+                    raise ValueError("JSON body is nested too deeply") from None
                 if not isinstance(payload, dict):
                     raise ValueError("JSON body must be an object")
                 params.update(payload)
@@ -519,11 +523,15 @@ def main(argv: list[str] | None = None) -> int:
     server = ShoutServer(store, config.host, config.port)
     host, port = server.server_address[:2]
     log.info("serving on http://%s:%s journal=%s", host, port, config.journal)
+    # SIGTERM, what kill and service managers send, ends the loop between
+    # requests; the store then closes and writes its checkpoint, as on SIGINT
+    previous = signal.signal(signal.SIGTERM, lambda *_: setattr(server, "_stop", True))
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         store.close()
     return 0

@@ -124,7 +124,7 @@ class Store:
         session_id = self.state.open_sessions.get(handle)
         if session_id is None:
             raise NoOpenSession(f"{handle} has no open session")
-        session = replace(self.state.sessions[session_id], end=now)
+        session = self.state.sessions[session_id]._replace(end=now)
         members = self.state.members.get(session_id, [])
         try:
             report = eng.conformance(session, members, tolerance=self.tolerance)
@@ -140,7 +140,7 @@ class Store:
                                              seed=self.state.last_seq + 1).id
         except NoEligibleValidator:
             pass
-        session = replace(session, shouts=tuple(s.id for s in members + markers))
+        session = session._replace(shouts=tuple(s.id for s in members + markers))
         return [*markers, jn.SessionEvent(jn.EVENT_CLOSE, session, report.to_dict(),
                                           validator)]
 
@@ -195,7 +195,7 @@ class Store:
             parts = urlsplit(url)
             if parts.scheme not in ("http", "https") or not parts.netloc:
                 raise BadUrl(f"not an http(s) url: {url!r}")
-            updated = replace(session, screencast=url, shouts=tuple(
+            updated = session._replace(screencast=url, shouts=tuple(
                 s.id for s in self.state.members.get(session_id, ())))
             self.journal.append_many([jn.SessionEvent(jn.EVENT_SCREENCAST, updated)],
                                      self._now())

@@ -4,17 +4,23 @@ trusted is refused with one INFO line and a full replay."""
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
+import re
 import shutil
+import signal
 import stat
+import subprocess
+import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import FakeClock, make_shout
+from conftest import FakeClock, make_shout, post_json
 from hypothesis import given, settings, strategies as st
 from test_journal_store import (
     FAULTS,
@@ -27,7 +33,7 @@ from test_journal_store import (
 
 from aa import journal as jn, miner, rdf, server, stats
 from aa.errors import JournalError
-from aa.model import Session, Shout, ValidationReview
+from aa.model import Session, Shout, Tag, ValidationReview
 from aa.store import Store
 
 DATA = Path(__file__).parent / "data"
@@ -118,14 +124,25 @@ class TestReopen:
         # as replay builds them, which keeps attribute reads as fast
         built = Counter()
         for cls in (Shout, Session, ValidationReview):
-            def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            def counting(cls, *args, new=cls.__new__, name=cls.__name__):
                 built[name] += 1
-                init(self, *args)
-            monkeypatch.setattr(cls, "__init__", counting)
+                return new(cls, *args)
+            monkeypatch.setattr(cls, "__new__", counting)
         state = jn.load_checkpoint(journal)[0]
         assert state.checkpoint_seq > 0
         assert built == Counter({"Shout": len(state.shouts), "Session": len(state.sessions),
                                  "ValidationReview": len(state.reviews)})
+
+    def test_every_loaded_object_has_its_exact_model_type(self, journal):
+        state = jn.load_checkpoint(journal)[0]
+        assert state.checkpoint_seq > 0
+        shouts = [*state.shouts, *state.by_created.ordered(),
+                  *(s for index in state.by_nick.values() for s in index.ordered()),
+                  *(s for members in state.members.values() for s in members)]
+        assert {type(s) for s in shouts} == {Shout}
+        assert {type(t) for s in shouts for t in s.tags} == {Tag}
+        assert {type(s) for s in state.sessions.values()} == {Session}
+        assert {type(r) for r in state.reviews.values()} == {ValidationReview}
 
     def test_a_tail_appended_behind_its_back_is_replayed(self, journal, caplog):
         covered = full_replay(journal).last_seq
@@ -173,6 +190,16 @@ def header_byte(path: Path) -> int:
     return path.read_bytes().index(b'"offset"') + 2
 
 
+def format_1(path: Path) -> None:
+    """Make the checkpoint's header name format 1, as the dataclass model's
+    did, with a digest that matches: only the format is then wrong."""
+    _, rest = path.read_bytes().split(b"\n", 1)
+    current = f'"format": {jn.CHECKPOINT_FORMAT}, '.encode()
+    assert jn.CHECKPOINT_FORMAT == 2 and rest.count(current) == 1
+    rest = rest.replace(current, b'"format": 1, ')
+    path.write_bytes(hashlib.sha256(rest).hexdigest().encode() + b"\n" + rest)
+
+
 def other_journal(path: str, text: bytes) -> None:
     """Replace the journal with one whose first shout says ``text`` instead."""
     data = Path(path).read_bytes()
@@ -200,6 +227,7 @@ SPOILS = {
     "foreign-fingerprint": lambda path, mp: mp.setitem(jn._VERSION, "fingerprint", "0" * 64),
     "other-python": lambda path, mp: mp.setitem(jn._VERSION, "python", [2, 7]),
     "a-directory": lambda path, mp: (ckpt(path).unlink(), ckpt(path).mkdir()),
+    "format-1": lambda path, mp: format_1(ckpt(path)),
 }
 
 
@@ -275,6 +303,33 @@ class TestWrites:
         assert ckpt(journal).read_bytes() == before
         assert sorted(p.name for p in Path(journal).parent.iterdir()) == \
             ["j.jsonl", "j.jsonl.ckpt"]
+
+    def test_an_interrupt_after_the_fsync_refuses_appends_and_writes_nothing(
+            self, journal, clock, monkeypatch):
+        # the record is on disk but not in the state: a checkpoint of that
+        # state, or a second record with its seq, would disagree with the file
+        def fsynced_then_interrupted(real, fd):
+            real(fd)
+            raise KeyboardInterrupt
+
+        before = ckpt(journal).read_bytes()
+        store = Store(journal, clock=clock)
+        for i in range(jn.CHECKPOINT_AFTER):
+            store.receive_shout("ann", f"note {i}")
+        fail_once(monkeypatch, store, "fsync", fsynced_then_interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            store.receive_shout("ann", "on disk only")
+        with pytest.raises(JournalError, match="after an interrupted append"):
+            store.receive_shout("ann", "refused")
+        store.close()
+        assert ckpt(journal).read_bytes() == before
+        store = Store(journal, clock=clock)
+        try:
+            assert store.state.shouts[-1].message == "on disk only"
+            store.receive_shout("ann", "after the reopen")
+        finally:
+            store.close()
+        assert_same_state(jn.replay(journal), full_replay(journal))
 
     def test_a_failed_checkpoint_write_is_logged_and_leaves_the_old_one(
             self, journal, clock, monkeypatch, caplog):
@@ -359,8 +414,10 @@ class TestServerStartup:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(server.ShoutServer, "serve_forever", interrupted)
+        handler = signal.getsignal(signal.SIGTERM)
         assert server.main(["--journal", journal, "--host", "127.0.0.1",
                             "--port", "0"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler  # restored for its caller
 
     def opened(self, caplog) -> list[str]:
         return [r.getMessage() for r in caplog.records
@@ -388,3 +445,52 @@ class TestServerStartup:
         assert messages[2].startswith(f"{ckpt(journal)}: checkpoint not used: ")
         assert messages[3].endswith(f" ms: 0 records from its checkpoint, "
                                     f"{records} replayed")
+
+
+class TestSigterm:
+    """SIGTERM, what kill and service managers send, stops a real aa-server
+    the way SIGINT does: it exits 0 and leaves a checkpoint."""
+
+    @staticmethod
+    def serve(journal: str, log: Path) -> tuple[subprocess.Popen, str]:
+        with open(log, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "aa.server", "--journal", journal,
+                 "--host", "127.0.0.1", "--port", "0"], stderr=err,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and proc.poll() is None:
+            found = re.search(r"serving on (http://\S+)", log.read_text())
+            if found:
+                return proc, found.group(1)
+            time.sleep(0.05)
+        proc.kill()
+        proc.wait()
+        pytest.fail(f"aa-server did not start: {log.read_text()}")
+
+    @staticmethod
+    def terminate(proc: subprocess.Popen) -> int:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            return proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_a_terminated_server_exits_0_and_restarts_from_its_checkpoint(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        shutil.copyfile(DATA / "golden.jsonl", journal)
+        proc, url = self.serve(journal, tmp_path / "first.log")
+        try:
+            status, answer = post_json(url + "/shout", body={"nick": "bob", "msg": "late"})
+        finally:
+            code = self.terminate(proc)
+        assert status == 200, answer
+        assert code == 0
+        assert stat.S_IMODE(ckpt(journal).stat().st_mode) == 0o600
+        state = jn.replay(journal)
+        assert state.checkpoint_seq == state.last_seq == full_replay(journal).last_seq
+        proc, url = self.serve(journal, tmp_path / "restart.log")
+        assert self.terminate(proc) == 0
+        assert re.search(r"opened journal .* ms: \d+ records from its checkpoint, "
+                         r"0 replayed\n", (tmp_path / "restart.log").read_text())

@@ -235,8 +235,9 @@ class TestTransport:
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
         b"HTTP/1.0 200 OK\r\nContent-Length: 15\r\n\r\n<html>hi</html>",
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000,
     ], ids=["302", "503", "garbage-status-line", "head-cut-short", "negative-length",
-            "chunked", "200-html", "200-array"])
+            "chunked", "200-html", "200-array", "200-nested-too-deep"])
     def test_no_usable_answer_is_a_transport_error(self, tmp_path, canned, answer):
         server = canned(answer, answer)
         config = canned_config(tmp_path, server.url)
@@ -742,6 +743,16 @@ class TestTornSpool:
         assert lines == ["dropped 1 unreadable spool line(s)", "pushed 1"]
         assert [s.message for s in live_server.store.list_shouts()] == ["whole"]
         assert spool_load(client_config) == []
+
+    def test_push_skips_a_line_nested_too_deep_to_decode(self, client_config,
+                                                         live_server):
+        spool_append(client_config, "whole")
+        with open(client_config.spool, "a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "\n")
+        lines = []
+        assert push(client_config, out=lines.append) == EXIT_OK
+        assert lines == ["dropped 1 unreadable spool line(s)", "pushed 1"]
+        assert [s.message for s in live_server.store.list_shouts()] == ["whole"]
 
     def test_next_shout_after_a_torn_line_is_kept(self, tmp_path):
         offline = offline_config(tmp_path)

@@ -9,7 +9,6 @@ import tempfile
 import threading
 import uuid
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -1113,13 +1112,14 @@ class TestShoutCodec:
                       tags=(Tag(TagForm.PLUS, "t", TagScope.SESSION),),
                       session_ref="s", deviation=DeviationKind.INTRO_TEST,
                       client_created=3, topic="tp")
-        assert all(getattr(shout, f.name) != f.default for f in fields(Shout))
+        assert all(getattr(shout, name) != default
+                   for name, default in Shout._field_defaults.items())
         path = str(tmp_path / "j.jsonl")
         with jn.Journal(path) as journal:
             journal.append_many([shout], written=1)
         (replayed,) = jn.replay(path).shouts
-        for f in fields(Shout):
-            assert getattr(replayed, f.name) == getattr(shout, f.name), f.name
+        for name in Shout._fields:
+            assert getattr(replayed, name) == getattr(shout, name), name
         assert replayed == shout and hash(replayed) == hash(shout)
 
 
@@ -1227,8 +1227,10 @@ class TestRecordDecode:
             list(jn.read_records(str(path)))
 
     @pytest.mark.parametrize("tail", [b'{"seq": 2, "writ', b"[1", b"\xe9",
-                                      '{"seq": 2, "d": "\u00e9'.encode()[:-1]],
-                             ids=["cut-json", "cut-list", "bad-byte", "cut-character"])
+                                      '{"seq": 2, "d": "\u00e9'.encode()[:-1],
+                                      b"[" * 100_000],
+                             ids=["cut-json", "cut-list", "bad-byte", "cut-character",
+                                  "cut-too-deep"])
     def test_a_torn_tail_stops_reading_and_is_cut_on_open(self, tmp_path, tail):
         path = tmp_path / "j.jsonl"
         with jn.Journal(str(path)) as journal:
@@ -1239,6 +1241,16 @@ class TestRecordDecode:
         with jn.Journal(str(path)) as journal:
             assert journal.state.last_seq == 1
         assert path.read_bytes() == whole
+
+    def test_a_whole_line_nested_too_deep_to_decode_is_named(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps({"seq": 1, "written": 1, "type": "shout",
+                                    "data": jn.shout_to_dict(shout_item("s1"))})
+                        + "\n" + "[" * 100_000 + "\n")
+        with pytest.raises(JournalError, match=f"^{path}:2: malformed record$"):
+            list(jn.read_records(str(path)))
+        with pytest.raises(JournalError, match=f"^{path}:2: malformed record$"):
+            jn.Journal(str(path))
 
     @pytest.mark.parametrize("line", [2, 1])
     def test_a_whole_line_that_is_not_utf8_is_named(self, tmp_path, line):

@@ -133,6 +133,19 @@ class TestParseSource:
         with pytest.raises(UnreadableSource, match="not a JSON array"):
             parse_source(json_spec(dump))
 
+    def test_json_nested_too_deep_is_a_skipped_line_or_an_unreadable_array(self,
+                                                                            tmp_path):
+        lines = tmp_path / "dump.jsonl"
+        lines.write_text('{"author": "bob", "text": "kept", "when": 1367505011}\n'
+                         + "[" * 100_000 + "\n")
+        outcome = parse_source(json_spec(lines))
+        assert [message for _, message, _ in outcome.rows] == ["kept"]
+        assert (outcome.scanned, outcome.skipped) == (2, 1)
+        array = tmp_path / "dump.json"
+        array.write_text("[" * 100_000)
+        with pytest.raises(UnreadableSource, match="not a JSON array"):
+            parse_source(json_spec(array))
+
     def test_json_array_after_leading_whitespace(self, tmp_path):
         dump = tmp_path / "dump.json"
         rows = [{"author": "bob", "text": "first", "when": 1367505011},
@@ -275,7 +288,7 @@ def row(text, nick="bob", created=0):
 
 
 def without_id(shouts):
-    return [replace(s, id="") for s in shouts]
+    return [s._replace(id="") for s in shouts]
 
 
 class TestSelect:

@@ -4,7 +4,48 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aa.errors import EmptyNick
-from aa.model import check_timestamp, iso8601, normalize_nick, parse_iso8601
+from aa.model import (
+    Session,
+    SessionOrigin,
+    Shout,
+    Tag,
+    TagForm,
+    User,
+    ValidationReview,
+    check_timestamp,
+    iso8601,
+    normalize_nick,
+    parse_iso8601,
+)
+
+VALUES = [
+    Tag(TagForm.HASH, "aa"),
+    Shout("s1", "bob", "fixed #aa", 5, tags=(Tag(TagForm.HASH, "aa"),)),
+    User("bob", frozenset({"bob"})),
+    ValidationReview("sess", "eve", 0.5, None, 5),
+    Session("sess", "bob", SessionOrigin.EXPLICIT, 0, 900, shouts=("s1",)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_model_value_refuses_attribute_assignment(value):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.added = 1
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_model_value_is_equal_by_fields_and_replace_keeps_its_type(value):
+    cls = type(value)
+    twin = cls(**{name: getattr(value, name) for name in cls._fields})
+    assert twin is not value
+    assert twin == value and hash(twin) == hash(value)
+    changed = value._replace(**{cls._fields[0]: "other"})
+    assert type(changed) is cls
+    assert changed != value and getattr(changed, cls._fields[0]) == "other"
+    assert changed._replace(**{cls._fields[0]: getattr(value, cls._fields[0])}) == value
 
 
 def test_normalize_trims_and_lowercases():

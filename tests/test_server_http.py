@@ -359,6 +359,21 @@ class TestTypedParameters:
         assert journal.read_bytes() == before
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
+    def test_a_json_body_nested_too_deep_is_bad_request(self, live_server, caplog):
+        journal = Path(live_server.store.journal.path)
+        before = journal.read_bytes()
+        request = urllib.request.Request(
+            live_server.url + "/shout", data=b"[" * 400_000, method="POST",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            urllib.request.urlopen(request, timeout=10)
+        with refused.value:
+            assert refused.value.code == 400
+            assert json.loads(refused.value.read()) == {
+                "error": "bad_request", "detail": "JSON body is nested too deeply"}
+        assert journal.read_bytes() == before
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
     @pytest.mark.parametrize("value", ["99999999999999999999", "-62135596801",
                                        "0001-01-01T00:00:00+01:00",
                                        "9999-12-31T23:59:59-01:00"])
