@@ -3,7 +3,7 @@
 Endpoints and their parameters:
   GET/POST /shout                      nick, msg [, client_created, source]
   GET      /shouts                     format=text|json, nick, since, until
-  POST     /message                    nick, msg; JSON body may add batch
+  POST     /message                    nick, msg
   POST     /session/<id>/screencast    url
   POST     /session/<id>/review        reviewer, score, comment
   GET      /report                     n
@@ -12,6 +12,8 @@ Endpoints and their parameters:
 read from the query, a form or a JSON body by their annotated types; a value
 of the wrong type answers 400 "bad_request" naming the parameter. Other client
 errors answer 4xx with a machine-readable "error" code, journal failures 500.
+So does text with a lone surrogate, which no view can render. A /message with
+the removed ``batch`` answers 410, which an old client's push keeps spooled.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import socket
 import sys
 import threading
 from dataclasses import replace
-from email.utils import formatdate
 from http import HTTPStatus
 from inspect import Parameter, signature
-from time import monotonic, perf_counter
+from time import gmtime, monotonic, perf_counter, strftime
 from typing import Callable, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -52,15 +53,11 @@ def _timestamp(value: int | str) -> int:
 
 # per annotated type: its reader, and the JSON types a value may have besides text
 _READERS = {"str": (str, ()), "int": (int, (int,)), "float": (float, (int, float)),
-            "Source": (Source, ()), "Timestamp": (_timestamp, (int,)),
-            "list[dict]": (lambda items: [decode(i, _BATCH_ITEM) for i in items], (list,))}
-_BATCH_ITEM = {"message": ("str", Parameter.empty), "client_created": ("Timestamp", None)}
+            "Source": (Source, ()), "Timestamp": (_timestamp, (int,))}
 
 
 def decode(params: dict, spec: dict[str, tuple[str, object]]) -> dict:
     """Read each ``name: (type, default)`` of ``spec``; ValueError names a bad one."""
-    if type(params) is not dict:
-        raise TypeError("expected an object")
     values = {}
     for name, (kind, default) in spec.items():
         value = params.get(name)  # JSON null counts as absent
@@ -69,11 +66,13 @@ def decode(params: dict, spec: dict[str, tuple[str, object]]) -> dict:
             continue
         read, json_types = _READERS[kind]
         try:
-            if type(value) not in (str, *json_types):  # exact: a bool is no int
+            if type(value) is str:
+                value.encode()  # a lone surrogate (JSON "\ud800") has no UTF-8
+            elif type(value) not in json_types:  # exact: a bool is no int
                 raise TypeError
             values[name] = read(value)
         except (OverflowError, TypeError, ValueError) as exc:  # float() of a huge int
-            why = f": {exc}" if exc.args else ""  # names a bad field of a batch item
+            why = f": {exc}" if exc.args else ""  # a bad ISO 8601 date, a surrogate
             raise ValueError(f"parameter {name!r} must be {kind}, "
                              f"got {value!r:.60}{why}") from None
     return values
@@ -126,7 +125,7 @@ class ShoutHandler:
         """Add the whole answer to ``answer``: status line, headers and body."""
         close = "Connection: close\r\n" if self.close_connection else ""
         self.answer += (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                        f"Date: {formatdate(usegmt=True)}\r\n{close}"
+                        f"Date: {strftime('%a, %d %b %Y %H:%M:%S GMT', gmtime())}\r\n{close}"
                         f"Content-Type: {content_type}\r\n"
                         f"Content-Length: {len(body)}\r\n\r\n").encode() + body
 
@@ -141,9 +140,12 @@ class ShoutHandler:
         try:
             parts = urlsplit(self.path)
             params = self._params(parts.query)
-            for _, methods, pattern, handler, spec in ROUTES:
+            for name, methods, pattern, handler, spec in ROUTES:
                 found = re.fullmatch(pattern.replace("<id>", "([^/]*)"), parts.path)
                 if found and method in methods:
+                    if name == "message" and params.get("batch") is not None:
+                        detail = "parameter 'batch' is gone: send each shout to POST /shout"
+                        return self._send_error_code("batch_removed", detail, 410)
                     return handler(self, *found.groups(), **decode(params, spec))
             self._send_error_code("not_found", f"no route {method} {parts.path}", 404)
         except AAError as exc:
@@ -179,9 +181,8 @@ class ShoutHandler:
         else:
             raise ValueError(f"parameter 'format' must be text or json, got {format!r:.60}")
 
-    def _handle_message(self, *, nick: str = "", msg: str = "",
-                        batch: list[dict] | None = None) -> None:
-        self._send_json(self.store.receive_message(nick, msg, batch=batch))
+    def _handle_message(self, *, nick: str = "", msg: str = "") -> None:
+        self._send_json(self.store.receive_message(nick, msg))
 
     def _handle_screencast(self, session_id: str, *, url: str = "") -> None:
         self.store.attach_screencast(session_id, url)

@@ -91,15 +91,13 @@ class Store:
         """A sent message as a shout in its nick's open session, whatever its
         first word: only ``receive_message`` acts on start, stop, push or a query."""
         session_ref = self.state.open_sessions.get(normalize_nick(nick))
-        shout = parsing.build_shout(uuid.uuid4().hex, nick, message, created,
-                                    self.parser_config, session_ref=session_ref, **fields)
-        if shout.kind is not MessageKind.SHOUT:
-            parsed = replace(parsing.parse(shout.message, self.parser_config),
-                             kind=MessageKind.SHOUT, topic=None)
-            shout = parsing.build_shout(shout.id, nick, shout.message, created,
-                                        self.parser_config, session_ref=session_ref,
-                                        parsed=parsed, **fields)
-        return shout
+        message = parsing.normalize_message(message)
+        parsed = parsing.parse(message, self.parser_config)
+        if parsed.kind is not MessageKind.SHOUT:
+            parsed = replace(parsed, kind=MessageKind.SHOUT, topic=None)
+        return parsing.build_shout(uuid.uuid4().hex, nick, message, created,
+                                   self.parser_config, session_ref=session_ref,
+                                   parsed=parsed, **fields)
 
     def receive_shout(self, nick: str, message: str, *,
                       source: Source = Source.HTTP,

@@ -15,7 +15,7 @@ import pytest
 from conftest import FakeClock, make_session, make_shout
 from hypothesis import given, settings, strategies as st
 
-from aa import journal as jn, sessions
+from aa import journal as jn, parsing, sessions
 from aa.errors import (
     BadUrl,
     EmptyMessage,
@@ -321,6 +321,29 @@ class TestIngest:
             assert (stored[shout_id].kind, stored[shout_id].topic) == (MessageKind.SHOUT, None)
         # the push's own record keeps its kind
         assert sorted(s.kind.value for s in stored.values()) == ["push", "shout", "shout"]
+
+    @pytest.mark.parametrize("message, stored, tags, deviation", [
+        ("STOP  the flaky test #ci first", "STOP the flaky test #ci first", ["ci"], None),
+        ("tickets #triage for the sprint", "tickets #triage for the sprint", ["triage"],
+         None),
+        ("push https://example.net", "push https://example.net", [],
+         "product_exhibitionism"),
+        ("milestones", "milestones", [], None),
+        ("grid done #coding", "grid done #coding", ["coding"], None)])
+    def test_a_shout_is_parsed_once(self, store, monkeypatch, message, stored, tags,
+                                    deviation):
+        session = store.receive_message("bob", "start")["session"]
+        parse, calls = parsing.parse, []
+        monkeypatch.setattr(parsing, "parse", lambda *args: calls.append(args) or parse(*args))
+        shout = store.receive_shout("bob", message, client_created=1_399_999_000)
+        assert len(calls) == 1
+        # the record each message has always become
+        record = json.loads(Path(store.journal.path).read_text().splitlines()[-1])["data"]
+        assert record == {
+            "id": shout.id, "nick": "bob", "message": stored, "created": 1_400_000_000,
+            "client_created": 1_399_999_000, "source": "http", "kind": "shout",
+            "topic": None, "session": session, "deviation": deviation,
+            "tags": [{"form": "hash", "name": name, "scope": "shout_only"} for name in tags]}
 
     def test_a_shout_with_a_control_word_is_flagged_like_any_other(self, store):
         shout = store.receive_shout("bob", "push https://example.net")

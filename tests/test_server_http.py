@@ -1,16 +1,22 @@
 import gc
+import io
 import json
 import logging
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
 import warnings
+from email.utils import formatdate
 from pathlib import Path
 
 import pytest
 from conftest import get_json, http_get, http_post, post_json
+from hypothesis import given, settings, strategies as st
 
 from aa import server
 from aa.model import iso8601
@@ -198,30 +204,24 @@ class TestMessageEndpoint:
         assert status == 400
         assert result["error"] == "no_open_session"
 
-    def test_push_batch(self, live_server):
-        status, result = post_json(
-            live_server.url + "/message",
-            body={"nick": "bob", "msg": "push",
-                  "batch": [{"message": "spooled", "client_created": 1000}]})
-        assert status == 200
-        assert result["accepted"] == 1
-
-    def test_push_iso_client_created_stored_as_epoch_seconds(self, live_server):
-        batch = [{"message": "offline a", "client_created": "2023-11-14T22:13:20Z"},
-                 {"message": "offline b", "client_created": 1700000000}]
+    @pytest.mark.parametrize("batch", [
+        [{"message": "spooled", "client_created": 1000}], [], [5], "x"],
+        ids=["items", "empty", "non-object-item", "text"])
+    def test_a_batch_is_gone_and_an_old_client_keeps_its_spool(self, live_server, batch):
+        journal = Path(live_server.store.journal.path)
+        before = journal.read_bytes()
         status, result = post_json(live_server.url + "/message",
                                    body={"nick": "bob", "msg": "push", "batch": batch})
-        assert status == 200 and result["accepted"] == 2
-        stored = {s.message: s.client_created for s in live_server.store.list_shouts()}
-        assert stored["offline a"] == stored["offline b"] == 1700000000
-
-    def test_push_bad_client_created_is_client_error(self, live_server):
-        batch = [{"message": "offline", "client_created": "yesterday"}]
+        # a client from before POST /shout took spooled shouts dropped a record
+        # refused with 400 and one of these codes, and kept any other refusal
+        old_refused_record = ("empty_message", "empty_nick", "bad_request")
+        assert status == 410 and result["error"] not in old_refused_record
+        assert result["error"] == "batch_removed"
+        assert "'batch'" in result["detail"] and "POST /shout" in result["detail"]
+        assert journal.read_bytes() == before
         status, result = post_json(live_server.url + "/message",
-                                   body={"nick": "bob", "msg": "push", "batch": batch})
-        assert status == 400
-        assert result["error"] == "bad_request"
-        assert live_server.store.list_shouts() == []
+                                   body={"nick": "bob", "msg": "push", "batch": None})
+        assert (status, result["result"], result["accepted"]) == (200, "push", 0)
 
     def test_query_stub(self, live_server):
         status, result = post_json(live_server.url + "/message",
@@ -331,21 +331,15 @@ class TestTypedParameters:
         ("/shout", {"nick": "bob", "msg": "x", "client_created": [1]}, "client_created"),
         ("/shout", {"nick": "bob", "msg": "x", "client_created": 1.5}, "client_created"),
         ("/shout", {"nick": "bob", "msg": "x", "client_created": True}, "client_created"),
-        ("/message", {"nick": "bob", "msg": "push", "batch": [5]}, "batch"),
-        ("/message", {"nick": "bob", "msg": "push", "batch": [{"message": 5}]}, "batch"),
         ("/session/{sid}/screencast", {"url": 5}, "url"),
         ("/session/{sid}/review",
          {"reviewer": "alice", "score": 0.5, "comment": 7}, "comment"),
         ("/shout", {"nick": "bob", "msg": "x", "client_created": 10**20},
          "client_created"),
-        ("/message", {"nick": "bob", "msg": "push",
-                      "batch": [{"message": "x", "client_created": 10**20}]},
-         "client_created"),
         ("/session/{sid}/review", {"reviewer": "alice", "score": 10**400}, "score"),
         ("/session/{sid}/review", {"reviewer": "alice", "score": True}, "score"),
     ], ids=["nick", "msg", "client_created-list", "client_created-float",
-            "client_created-bool", "batch-item", "batch-message", "url", "comment",
-            "client_created-past-9999", "batch-client_created-past-9999",
+            "client_created-bool", "url", "comment", "client_created-past-9999",
             "score-too-large-for-float", "score-bool"])
     def test_ill_typed_value_is_bad_request(self, live_server, caplog, path, body, name):
         _, started = post_json(live_server.url + "/message",
@@ -358,6 +352,45 @@ class TestTypedParameters:
         assert repr(name) in result["detail"]
         assert journal.read_bytes() == before
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_text_with_a_lone_surrogate_is_bad_request(self, tmp_path, clock):
+        """A JSON escape can carry a lone surrogate, which has no UTF-8, so no
+        view could render it; every text parameter refuses it."""
+        store = Store(str(tmp_path / "j.jsonl"), clock=clock)
+        sid = store.receive_message("bob", "start")["session"]
+        journal = Path(store.journal.path)
+        before = journal.read_bytes()
+        bodies = {"/shout": {"nick": "bob", "msg": "x"},
+                  "/message": {"nick": "bob", "msg": "x"},
+                  f"/session/{sid}/screencast": {"url": "https://v.example/a"},
+                  f"/session/{sid}/review": {"reviewer": "alice", "comment": "ok"}}
+        texts = [(path, name) for path, body in bodies.items() for name in body]
+        lone = st.tuples(st.text(max_size=5), st.characters(codec=None, categories=["Cs"]),
+                         st.text(max_size=5)).map("".join)
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.sampled_from(texts), lone)
+        def refused(where, text):
+            path, name = where
+            data = json.dumps({**bodies[path], "score": 0.5, name: text}).encode()
+            status, _, body = served(store, request(
+                path, "POST", body=data, head="Content-Type: application/json\r\n"))
+            result = json.loads(body)
+            assert (status, result["error"]) == (400, "bad_request")
+            assert repr(name) in result["detail"] and "surrogates" in result["detail"]
+            assert journal.read_bytes() == before
+
+        try:
+            refused()
+        finally:
+            store.close()
+
+    def test_a_lone_surrogate_never_reaches_the_text_listing(self, live_server):
+        status, result = post_json(live_server.url + "/shout",
+                                   body={"nick": "bob", "msg": "\ud800"})
+        assert (status, result["error"]) == (400, "bad_request")
+        status, _ = http_get(live_server.url + "/shouts", params={"format": "text"})
+        assert status == 200 and live_server.store.list_shouts() == []
 
     def test_a_json_body_nested_too_deep_is_bad_request(self, live_server, caplog):
         journal = Path(live_server.store.journal.path)
@@ -552,6 +585,14 @@ def messages(live_server) -> list[str]:
     return [s.message for s in live_server.store.list_shouts()]
 
 
+def served(store: Store, raw: bytes) -> tuple[int, dict, bytes]:
+    """The answer ``ShoutHandler`` gives the one whole request in ``raw``, in process."""
+    head = server._read_head(bytearray(raw), 0, eof=True)
+    handler = server.ShoutHandler(store, head, raw[head.end:])
+    handler.handle()
+    return read_answer(io.BytesIO(handler.answer))
+
+
 class TestConnectionLoop:
     """What http.server did on a thread per connection, the one loop keeps."""
 
@@ -726,6 +767,24 @@ class TestConnectionLoop:
                         assert client.recv(1) == b""
         finally:
             store.close()
+
+
+class TestDateHeader:
+    """The Date header is RFC 9110's IMF-fixdate, written without ``email.utils``."""
+
+    def test_date_equals_formatdate_at_a_fixed_clock(self, store, monkeypatch):
+        for now in [0, 951782400, 1700000000, 253402300799,
+                    *range(0, 253402300799, 253402300799 // 97)]:
+            monkeypatch.setattr(server, "gmtime", lambda: time.gmtime(now))
+            _, headers, _ = served(store, request("/report"))
+            assert headers["date"] == formatdate(now, usegmt=True)
+
+    def test_importing_the_server_does_not_import_email(self):
+        code = "import sys, aa.server; print([m for m in sys.modules if 'email' in m])"
+        found = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                               check=True, timeout=60)
+        assert found.stdout == "[]\n"
 
 
 class TestLimits:
